@@ -7,8 +7,10 @@ pairs cleanly; a single-leaf tree is just the leaf digest.  Parent nodes are
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
-in the concatenation.  Verification rehashes the block, folds the siblings
-in order, and compares against the expected root.
+in the concatenation.  The sides are the bits of the leaf's index, low bit
+first, and verification rejects a proof whose sides and ``leaf_index``
+disagree.  Verification then rehashes the block, folds the siblings in
+order, and compares against the expected root.
 
 ``fold_path`` exposes the bare fold: starting from a leaf digest, each step
 hashes ``current || sibling`` and truncates.  That is exactly the
@@ -139,6 +141,11 @@ def verify_proof(
 ) -> bool:
     """Three-step check: hash the block, fold the path, compare to the root.
 
+    The proof must also be bound to its leaf position: step ``k``'s sibling
+    sits on the right exactly when bit ``k`` of ``leaf_index`` is 0, and
+    ``leaf_index`` has no bits above the path length.  A proof whose sides
+    do not spell out its ``leaf_index`` fails verification.
+
     Width mismatches (proof or root digests not at ``spec.bits``) raise
     ``ValueError`` -- they are caller mistakes, not failed verifications.
     """
@@ -153,6 +160,9 @@ def verify_proof(
             raise ValueError(
                 f"proof sibling has {step.sibling.bits} bits, spec.bits is {spec.bits}"
             )
+    spelled = sum(1 << k for k, step in enumerate(proof.steps) if step.side == LEFT)
+    if spelled != proof.leaf_index:
+        return False
     current = hash_bytes(data, spec, oracle)
     for step in proof.steps:
         if step.side == RIGHT:
@@ -228,4 +238,8 @@ def proof_from_json(text: str) -> MerkleProof:
         if not isinstance(sibling, str):
             raise ValueError(f"step {k} sibling must be a hex string")
         steps.append(ProofStep(Digest.from_hex(sibling, bits), side))
+    if leaf_index >> len(steps):
+        raise ValueError(
+            f"leaf_index {leaf_index} does not fit a path of {len(steps)} steps"
+        )
     return MerkleProof(bits=bits, leaf_index=leaf_index, steps=tuple(steps))

@@ -115,8 +115,11 @@ def no_collision_log_prob(params: PathParams) -> mpf:
 def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     """Literal sum 1/2^b + sum_{k=1}^{m} (1 - 1/2^b)^k / 2^b, exact rationals.
 
+    Term k is (2^b - 1)^k / 2^(b(k+1)), so over the common denominator
+    2^(b(m+1)) its numerator is (2^b - 1)^k * 2^(b(m-k)).  The numerators are
+    summed term by term with Horner's rule and the sum is reduced once.
     Cross-check oracle for the closed form; guarded to small scales because
-    the per-term rationals grow with every level.
+    the numerators grow by b bits with every level.
     """
     b, m = params.bits, params.path_len
     if b > TERMSUM_MAX_BITS or m > TERMSUM_MAX_PATH_LEN:
@@ -124,13 +127,13 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
             f"term sum limited to bits <= {TERMSUM_MAX_BITS} and "
             f"path_len <= {TERMSUM_MAX_PATH_LEN}, got ({b}, {m})"
         )
-    p = Fraction(1, 1 << b)
-    q = 1 - p
-    total = p
-    term = p
-    for _ in range(m):
-        term *= q
-        total += term
+    q = (1 << b) - 1
+    num = 0
+    q_k = 1
+    for _ in range(m + 1):
+        num = (num << b) + q_k
+        q_k *= q
+    total = Fraction(num, 1 << (b * (m + 1)))
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
         value = mpf(total.numerator) / mpf(total.denominator)
     return Probability(value, total)

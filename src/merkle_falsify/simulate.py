@@ -6,6 +6,15 @@ equals D), then counts whether both data fold to the same root.  Trials are
 therefore independent Bernoulli draws, and the per-cell z-score against the
 closed-form probability is a clean known-p binomial statistic.
 
+The two chains are folded in lockstep, level by level, and a trial stops at
+the first level where they coincide.  Stopping there is exact, not an
+approximation: every later level hashes the same (node, sibling) input on
+both sides, so equal running digests stay equal up to the root.  Skipped
+queries cannot perturb anything either -- all random draws are taken up
+front, and an ideal-oracle value depends only on (oracle seed, input), not
+on which inputs were queried before.  A trial whose chains never meet still
+folds all m levels, so cells with small P cost what a full fold costs.
+
 Path elements are full-width random values (32 bytes) by default.  That is
 what the closed form models: every level then contributes an independent
 2^-b collision opportunity.  The opt-in "truncated" mode draws b-bit path
@@ -25,6 +34,7 @@ either the generator or the draw order changes.
 from __future__ import annotations
 
 import hashlib
+import os
 import string
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -187,25 +197,23 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     base_data = _ALPHABET_CODES[base_idx]
     sub_data = _ALPHABET_CODES[sub_idx]
 
+    # Lockstep fold; the first coincidence decides the trial (see the module
+    # docstring for why stopping there is exact).
     matches = 0
     stride = m * width
     for t in range(trials):
-        offset = t * stride
-        if mask_last == 0xFF:
-            sibs = [blob[offset + k * width : offset + (k + 1) * width] for k in range(m)]
-        else:
-            sibs = []
-            for k in range(m):
-                raw = blob[offset + k * width : offset + (k + 1) * width]
-                sibs.append(raw[:-1] + bytes((raw[-1] & mask_last,)))
-        cur = node(base_data[t].tobytes())
-        for s in sibs:
-            cur = node(cur + s)
-        root = cur
-        cur = node(sub_data[t].tobytes())
-        for s in sibs:
-            cur = node(cur + s)
-        matches += cur == root
+        genuine = node(base_data[t].tobytes())
+        forged = node(sub_data[t].tobytes())
+        start = t * stride
+        end = start + stride
+        while genuine != forged and start < end:
+            s = blob[start : start + width]
+            if mask_last != 0xFF:
+                s = s[:-1] + bytes((s[-1] & mask_last,))
+            genuine = node(genuine + s)
+            forged = node(forged + s)
+            start += width
+        matches += genuine == forged
     return matches
 
 
@@ -241,7 +249,8 @@ def _run_task(task: tuple[ExperimentConfig, int]) -> int:
 def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> SimulationReport:
     """Evaluate all cells; results are independent of worker count.
 
-    Experiments fan out over a process pool when workers > 1; counts are
+    Experiments fan out over a process pool of at most
+    min(workers, number of experiments, CPU count) processes; counts are
     merged back in (config, experiment_index) order.
     """
     if not configs:
@@ -250,11 +259,14 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> SimulationRep
         raise ValueError("workers must be >= 1")
     start = time.perf_counter()
     tasks = [(config, k) for config in configs for k in range(config.num_experiments)]
-    if workers == 1:
+    # The pool starts all of its processes up front, so never ask for more
+    # than there are tasks or CPUs to run them.
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size == 1:
         counts = [run_experiment(config, k) for config, k in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            chunk = max(1, len(tasks) // (4 * pool_size))
             counts = list(pool.map(_run_task, tasks, chunksize=chunk))
     cells = []
     at = 0

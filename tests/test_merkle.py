@@ -104,6 +104,17 @@ def test_tamper_matrix():
     assert not verify_proof(FOUR_LEAF_BLOCKS[1], proof, other.root, SPEC256)
 
 
+def test_relabelled_proof_rejected():
+    # the sides of leaf 1's proof spell index 1; claiming another position
+    # with the same steps must not verify
+    tree = build_tree(FOUR_LEAF_BLOCKS, SPEC256)
+    proof = generate_proof(tree, 1)
+    assert verify_proof(FOUR_LEAF_BLOCKS[1], proof, tree.root, SPEC256)
+    for claimed in (0, 2, 3, 5, -1):
+        relabelled = MerkleProof(bits=proof.bits, leaf_index=claimed, steps=proof.steps)
+        assert not verify_proof(FOUR_LEAF_BLOCKS[1], relabelled, tree.root, SPEC256)
+
+
 def test_proof_roundtrip_small_trees():
     for bits in (8, 64, 256):
         spec = HashSpec(SHA256, bits)
@@ -223,6 +234,7 @@ def test_proof_json_malformed():
         lambda o: o.update(version=2),
         lambda o: o.update(bits=0),
         lambda o: o.update(leaf_index=-1),
+        lambda o: o.update(leaf_index=2),  # a 1-step path has leaves 0 and 1
         lambda o: o.update(steps="nope"),
         lambda o: o["steps"][0].update(side="middle"),
         lambda o: o["steps"][0].update(sibling="zz"),

@@ -109,6 +109,23 @@ def test_termsum_identity_property(b, m):
     assert exact_falsification_prob_termsum(PathParams(b, m)).exact_rational == closed_form_rational(b, m)
 
 
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=120))
+@settings(max_examples=60, deadline=None)
+def test_termsum_matches_per_term_fraction_sum(b, m):
+    # the term-by-term sum written out with a Fraction per term
+    p = Fraction(1, 1 << b)
+    total = p
+    term = p
+    for _ in range(m):
+        term *= 1 - p
+        total += term
+    got = exact_falsification_prob_termsum(PathParams(b, m))
+    assert got.exact_rational == total
+    with mpmath.workdps(80):
+        gap = abs(got.value - mpf(total.numerator) / mpf(total.denominator))
+    assert gap < mpf(10) ** -60
+
+
 def test_geometric_sum_examples():
     assert geometric_sum(Fraction(1, 2), Fraction(1, 2), 2) == Fraction(3, 4)
     assert geometric_sum(Fraction(3, 4), Fraction(3, 4), 1) == Fraction(3, 4)

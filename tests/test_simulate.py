@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from merkle_falsify import simulate
 from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, hash_bytes
 from merkle_falsify.merkle import fold_path
 from merkle_falsify.simulate import (
@@ -145,6 +148,24 @@ def test_run_experiment_matches_public_fold_truncated_mode():
     assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
 
 
+@given(
+    oracle_kind=st.sampled_from([SHA256, IDEAL]),
+    bits=st.integers(min_value=1, max_value=12),
+    path_len=st.integers(min_value=0, max_value=40),
+    sibling_mode=st.sampled_from([WIDE, TRUNCATED]),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_lockstep_fold_matches_full_fold(oracle_kind, bits, path_len, sibling_mode, seed):
+    # run_experiment stops each trial at the first coincidence of the two
+    # chains; the public-API replay folds both chains to the root
+    cfg = ExperimentConfig(
+        bits=bits, path_len=path_len, trials_per_experiment=60, num_experiments=1,
+        oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=seed,
+    )
+    assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
+
+
 def test_b1_m0_ideal_close_to_half():
     cfg = ExperimentConfig(
         bits=1, path_len=0, trials_per_experiment=1000, num_experiments=1,
@@ -212,6 +233,42 @@ def test_run_grid_worker_invariance():
     serial = run_grid(configs, workers=1)
     parallel = run_grid(configs, workers=3)
     assert [c.matches for c in serial.cells] == [c.matches for c in parallel.cells]
+
+
+def test_run_grid_pool_size_is_capped(monkeypatch):
+    # a stand-in records the pool it is asked for, so no large pool starts
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            requested.append((self.max_workers, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    forty = build_grid([2, 3], [1], trials_per_experiment=3, num_experiments=20)
+    serial = [c.matches for c in run_grid(forty).cells]
+    three = build_grid([2], [1], trials_per_experiment=3, num_experiments=3)
+
+    assert [c.matches for c in run_grid(forty, workers=1000).cells] == serial
+    run_grid(three, workers=1000)
+    run_grid(forty, workers=2)
+    # (pool size, chunksize = tasks // (4 * pool size))
+    assert requested == [(4, 2), (3, 1), (2, 5)]
+
+    requested.clear()
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert [c.matches for c in run_grid(forty, workers=1000).cells] == serial
+    assert requested == []  # one usable CPU runs in-process
 
 
 def test_run_grid_validation():
