@@ -10,17 +10,23 @@ Two hash backends share one interface:
 
 Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
 bytes, left-aligned, with the unused low-order bits of the final byte forced
-to zero.  Core operations:
+to zero.
 
-- ``hash_bytes(data, spec, oracle=None)``   -- hash an arbitrary byte string
-- ``hash_concat(left, right, spec, oracle=None)`` -- hash two digests of
-  equal width (the node rule for trees)
+Every hash in the package goes through one kernel:
+
+- ``node_fn(spec, oracle=None)`` -- checks the backend/oracle pairing once
+  and returns a ``bytes -> bytes`` function yielding the truncated digest
+  bytes.  It is the only place that knows truncation and the ideal-oracle
+  bit layout; trees and the simulator bind it once and fold raw bytes.
+- ``hash_bytes(data, spec, oracle=None)`` -- the same kernel, wrapped in a
+  :class:`Digest` for callers that want a validated value.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 SHA256 = "sha256"
 IDEAL = "ideal"
@@ -45,7 +51,8 @@ class HashSpec:
                 f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}"
             )
         limit = _MAX_BITS[self.algorithm]
-        if not isinstance(self.bits, int) or not 1 <= self.bits <= limit:
+        # bool is an int subclass, but True is not a width.
+        if type(self.bits) is not int or not 1 <= self.bits <= limit:
             raise ValueError(
                 f"bits must be an integer in [1, {limit}] for {self.algorithm}, got {self.bits!r}"
             )
@@ -75,7 +82,7 @@ class Digest:
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
             raise ValueError(f"digest data must be bytes, got {type(self.data).__name__}")
-        if not isinstance(self.bits, int) or self.bits < 1:
+        if type(self.bits) is not int or self.bits < 1:
             raise ValueError(f"digest bits must be a positive integer, got {self.bits!r}")
         if len(self.data) != (self.bits + 7) // 8:
             raise ValueError(
@@ -109,24 +116,12 @@ class Digest:
         return cls(raw, bits)
 
 
-def truncate_digest(full: bytes, bits: int) -> bytes:
-    """Keep the most significant ``bits`` bits of ``full``, left-aligned."""
-    nbytes = (bits + 7) // 8
-    if len(full) < nbytes:
-        raise ValueError(f"cannot keep {bits} bits of a {len(full)}-byte digest")
-    kept = full[:nbytes]
-    rem = bits % 8
-    if rem:
-        kept = kept[:-1] + bytes([kept[-1] & ((0xFF << (8 - rem)) & 0xFF)])
-    return kept
-
-
 class OracleState:
     """Memoized random oracle, reproducible from a 64-bit seed.
 
     The first query for an input draws a fresh 64-bit value by hashing
     ``seed || input`` with full-width SHA-256 and keeping the low 64 bits;
-    subsequent queries return the memoized value.  ``hash_bytes`` then keeps
+    subsequent queries return the memoized value.  ``node_fn`` then keeps
     the low ``bits`` bits of that value, so the same state can serve any
     width up to 64 consistently.
 
@@ -154,29 +149,41 @@ class OracleState:
         return got
 
 
-def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
-    """Hash ``data`` under ``spec``.
+def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
+    """The hashing kernel: a ``bytes -> bytes`` function for ``spec``.
+
+    It returns ``spec.nbytes`` bytes, left-aligned, with the pad bits of the
+    final byte zero -- exactly ``Digest.data``.  ``sha256`` keeps the most
+    significant ``bits`` bits of the digest; ``ideal`` keeps the low ``bits``
+    bits of the oracle's 64-bit value.
 
     An ``oracle`` must be supplied exactly when ``spec.algorithm`` is
     ``ideal``; passing one alongside ``sha256`` (or omitting it for
     ``ideal``) is an error rather than a silent fallback.
     """
+    nb = spec.nbytes
     if spec.algorithm == IDEAL:
         if oracle is None:
             raise ValueError("ideal algorithm requires an OracleState")
-        value = oracle.value64(data) & ((1 << spec.bits) - 1)
-        return Digest.from_int(value, spec.bits)
+        value64 = oracle.value64
+        bitmask = (1 << spec.bits) - 1
+        pad = (8 - spec.bits % 8) % 8
+        return lambda x: ((value64(x) & bitmask) << pad).to_bytes(nb, "big")
     if oracle is not None:
         raise ValueError("oracle supplied but algorithm is sha256")
-    return Digest(truncate_digest(hashlib.sha256(data).digest(), spec.bits), spec.bits)
+    sha = hashlib.sha256
+    if spec.bits % 8 == 0:
+        return lambda x: sha(x).digest()[:nb]
+    mask = spec.last_byte_mask
+    cut = nb - 1
+
+    def node(x: bytes) -> bytes:
+        d = sha(x).digest()
+        return d[:cut] + bytes((d[cut] & mask,))
+
+    return node
 
 
-def hash_concat(
-    left: Digest, right: Digest, spec: HashSpec, oracle: OracleState | None = None
-) -> Digest:
-    """Digest of ``left.data || right.data`` -- both operands at spec width."""
-    if left.bits != spec.bits or right.bits != spec.bits:
-        raise ValueError(
-            f"operand widths ({left.bits}, {right.bits}) do not match spec.bits={spec.bits}"
-        )
-    return hash_bytes(left.data + right.data, spec, oracle)
+def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
+    """Hash ``data`` under ``spec``: the kernel's output as a :class:`Digest`."""
+    return Digest(node_fn(spec, oracle)(data), spec.bits)

@@ -2,8 +2,11 @@
 
 Construction pairs digests left to right.  A level with an odd number of
 digests is first extended by duplicating its final digest, so every level
-pairs cleanly; a single-leaf tree is just the leaf digest.  Parent nodes are
-``hash_concat(left_child, right_child)`` under the tree's :class:`HashSpec`.
+pairs cleanly; a single-leaf tree is just the leaf digest.  A parent node is
+the kernel ``hashing.node_fn`` applied to ``left.data || right.data`` under
+the tree's :class:`HashSpec`.  Tree code binds that kernel once per call and
+hashes raw bytes; :class:`Digest` values are built only for what a call
+returns or stores (the levels of a tree, the root of a fold).
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
@@ -13,7 +16,7 @@ disagree.  Verification then rehashes the block, folds the siblings in
 order, and compares against the expected root.
 
 ``fold_path`` exposes the bare fold: starting from a leaf digest, each step
-hashes ``current || sibling`` and truncates.  That is exactly the
+applies the kernel to ``current || sibling``.  That is exactly the
 reconstruction done by a proof whose siblings all sit on the right, and it
 is also the path model used by the simulator -- which is why ``fold_path``
 accepts siblings wider than the node width (see ``simulate``).
@@ -22,10 +25,12 @@ Known caveat: leaves are hashed payload bytes directly, with no
 domain-separation prefix distinguishing leaf hashing from internal-node
 hashing.  A payload equal to the concatenation of two sibling digests
 therefore hashes to their parent's digest -- the classic second-preimage
-weakness of unprefixed Merkle constructions.  This library keeps the
-unprefixed scheme because that is the scheme whose falsification
-probabilities are being studied; do not reuse it where the attack
-matters.
+weakness of unprefixed Merkle constructions.  Duplicating the last digest
+of an odd level also means ``[a, b, c]`` and ``[a, b, c, c]`` share a root
+(the ambiguity behind CVE-2012-2459).  This library keeps both properties
+because that is the scheme whose falsification probabilities are being
+studied; ``tests/test_merkle.py`` pins them.  Do not reuse it where either
+attack matters.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, OracleState, hash_bytes, hash_concat
+from .hashing import Digest, HashSpec, OracleState, node_fn
 
 LEFT = "left"
 RIGHT = "right"
@@ -101,24 +106,25 @@ def build_tree(
     """Hash ``leaves`` and pair upward until a single root remains."""
     if len(leaves) == 0:
         raise ValueError("cannot build a tree from zero leaves")
-    level = [hash_bytes(block, spec, oracle) for block in leaves]
-    levels = [level]
+    node = node_fn(spec, oracle)
+    bits = spec.bits
+    levels = [[Digest(node(block), bits) for block in leaves]]
     while len(levels[-1]) > 1:
-        current = levels[-1]
-        if len(current) % 2:
-            current = current + [current[-1]]
-            levels[-1] = current
-        parent = [
-            hash_concat(current[i], current[i + 1], spec, oracle)
-            for i in range(0, len(current), 2)
-        ]
-        levels.append(parent)
+        cur = levels[-1]
+        if len(cur) % 2:
+            cur.append(cur[-1])
+        levels.append(
+            [
+                Digest(node(cur[i].data + cur[i + 1].data), bits)
+                for i in range(0, len(cur), 2)
+            ]
+        )
     return MerkleTree(spec, len(leaves), levels)
 
 
 def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
     """Authentication path for ``leaf_index`` against the tree's root."""
-    if not isinstance(leaf_index, int) or not 0 <= leaf_index < tree.leaf_count:
+    if type(leaf_index) is not int or not 0 <= leaf_index < tree.leaf_count:
         raise IndexError(
             f"leaf index {leaf_index!r} out of range for {tree.leaf_count} leaves"
         )
@@ -160,16 +166,17 @@ def verify_proof(
             raise ValueError(
                 f"proof sibling has {step.sibling.bits} bits, spec.bits is {spec.bits}"
             )
+    node = node_fn(spec, oracle)
     spelled = sum(1 << k for k, step in enumerate(proof.steps) if step.side == LEFT)
     if spelled != proof.leaf_index:
         return False
-    current = hash_bytes(data, spec, oracle)
+    current = node(data)
     for step in proof.steps:
         if step.side == RIGHT:
-            current = hash_concat(current, step.sibling, spec, oracle)
+            current = node(current + step.sibling.data)
         else:
-            current = hash_concat(step.sibling, current, spec, oracle)
-    return current == expected_root
+            current = node(step.sibling.data + current)
+    return current == expected_root.data
 
 
 def fold_path(
@@ -187,10 +194,11 @@ def fold_path(
     """
     if leaf.bits != spec.bits:
         raise ValueError(f"leaf has {leaf.bits} bits, spec.bits is {spec.bits}")
-    current = leaf
+    node = node_fn(spec, oracle)
+    current = leaf.data
     for sibling in siblings:
-        current = hash_bytes(current.data + sibling.data, spec, oracle)
-    return current
+        current = node(current + sibling.data)
+    return Digest(current, spec.bits)
 
 
 def proof_to_json(proof: MerkleProof) -> str:
@@ -216,13 +224,15 @@ def proof_from_json(text: str) -> MerkleProof:
         raise ValueError(f"proof is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("proof JSON must be an object")
-    if obj.get("version") != PROOF_VERSION:
-        raise ValueError(f"unsupported proof version {obj.get('version')!r}")
+    # JSON true/1.0 compare equal to 1, so integers are checked by type.
+    version = obj.get("version")
+    if type(version) is not int or version != PROOF_VERSION:
+        raise ValueError(f"unsupported proof version {version!r}")
     bits = obj.get("bits")
-    if not isinstance(bits, int) or bits < 1:
+    if type(bits) is not int or bits < 1:
         raise ValueError(f"proof bits must be a positive integer, got {bits!r}")
     leaf_index = obj.get("leaf_index")
-    if not isinstance(leaf_index, int) or leaf_index < 0:
+    if type(leaf_index) is not int or leaf_index < 0:
         raise ValueError(f"leaf_index must be a non-negative integer, got {leaf_index!r}")
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):

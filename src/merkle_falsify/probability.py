@@ -50,9 +50,10 @@ class PathParams:
     path_len: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or self.bits < 1:
+        # type() rather than isinstance(): bool is an int subclass.
+        if type(self.bits) is not int or self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits!r}")
-        if not isinstance(self.path_len, int) or self.path_len < 0:
+        if type(self.path_len) is not int or self.path_len < 0:
             raise ValueError(
                 f"path_len must be a non-negative integer, got {self.path_len!r}"
             )
@@ -74,14 +75,6 @@ class FalsificationEstimate:
     exact: Probability
     approx: Probability
     abs_diff: mpf
-
-
-def single_collision_prob(bits: int) -> Probability:
-    """Probability 2^-b that two distinct inputs share a b-bit digest."""
-    params = PathParams(bits, 0)  # reuse validation
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        value = mpf(2) ** (-params.bits)
-    return Probability(value, Fraction(1, 1 << bits))
 
 
 def exact_falsification_prob(params: PathParams) -> Probability:
@@ -137,19 +130,6 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
         value = mpf(total.numerator) / mpf(total.denominator)
     return Probability(value, total)
-
-
-def geometric_sum(g: Fraction | int, z: Fraction | int, m: int) -> Fraction:
-    """Sum of the first m terms of a geometric progression: g(1 - z^m)/(1 - z)."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"term count must be a non-negative integer, got {m!r}")
-    g = Fraction(g)
-    z = Fraction(z)
-    if z == 1:
-        raise ValueError("ratio z == 1 has no closed form; sum is g*m")
-    if m == 0:
-        return Fraction(0)
-    return g * (1 - z**m) / (1 - z)
 
 
 def approx_falsification_prob(params: PathParams) -> Probability:

@@ -15,6 +15,11 @@ front, and an ideal-oracle value depends only on (oracle seed, input), not
 on which inputs were queried before.  A trial whose chains never meet still
 folds all m levels, so cells with small P cost what a full fold costs.
 
+Every fold step is one call of the package's single hashing kernel,
+``hashing.node_fn``, bound once per experiment; the simulator keeps no copy
+of the truncation or oracle logic, and hashes raw bytes without building
+``Digest`` values.
+
 Path elements are full-width random values (32 bytes) by default.  That is
 what the closed form models: every level then contributes an independent
 2^-b collision opportunity.  The opt-in "truncated" mode draws b-bit path
@@ -44,10 +49,9 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .hashing import IDEAL, SHA256, HashSpec, OracleState
+from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob
 
-ALPHANUMERIC = "alphanumeric"
 ALPHABET = string.ascii_letters + string.digits
 _ALPHABET_CODES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 
@@ -65,23 +69,19 @@ class ExperimentConfig:
     trials_per_experiment: int = 1000
     num_experiments: int = 100
     data_length: int = 16
-    alphabet: str = ALPHANUMERIC
     oracle_kind: str = SHA256
     sibling_mode: str = WIDE
     master_seed: int = 0
 
     def __post_init__(self) -> None:
         self.hash_spec()  # validates oracle_kind and bits range
-        if self.path_len < 0:
-            raise ValueError(f"path_len must be non-negative, got {self.path_len}")
+        PathParams(self.bits, self.path_len)  # validates path_len
         if self.trials_per_experiment < 1:
             raise ValueError("trials_per_experiment must be >= 1")
         if self.num_experiments < 1:
             raise ValueError("num_experiments must be >= 1")
         if self.data_length < 1:
             raise ValueError("data_length must be >= 1")
-        if self.alphabet != ALPHANUMERIC:
-            raise ValueError(f"unsupported alphabet {self.alphabet!r}")
         if self.sibling_mode not in (WIDE, TRUNCATED):
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
         if not 0 <= self.master_seed < (1 << 64):
@@ -139,28 +139,6 @@ def _derive_oracle_seed(
     return _seed_hash("oracle", master_seed, bits, path_len, experiment_index)
 
 
-def _node_fn(config: ExperimentConfig, oracle: OracleState | None):
-    """bytes -> truncated node digest bytes, as a tight closure."""
-    spec = config.hash_spec()
-    nb = spec.nbytes
-    if config.oracle_kind == SHA256:
-        sha = hashlib.sha256
-        if spec.bits % 8 == 0:
-            return lambda x: sha(x).digest()[:nb]
-        mask = spec.last_byte_mask
-        cut = nb - 1
-
-        def node(x: bytes) -> bytes:
-            d = sha(x).digest()
-            return d[:cut] + bytes((d[cut] & mask,))
-
-        return node
-    value64 = oracle.value64
-    bitmask = (1 << spec.bits) - 1
-    pad = (8 - spec.bits % 8) % 8
-    return lambda x: ((value64(x) & bitmask) << pad).to_bytes(nb, "big")
-
-
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
     if not 0 <= experiment_index < config.num_experiments:
@@ -175,16 +153,21 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
                 config.master_seed, config.bits, config.path_len, experiment_index
             )
         )
-    node = _node_fn(config, oracle)
+    spec = config.hash_spec()
+    node = node_fn(spec, oracle)
 
     trials = config.trials_per_experiment
     m = config.path_len
     length = config.data_length
     width = config.sibling_nbytes
-    mask_last = config.hash_spec().last_byte_mask if config.sibling_mode == TRUNCATED else 0xFF
 
     # Fixed draw order: path bytes, base data, substitute data, resamples.
     blob = rng.bytes(trials * m * width) if m else b""
+    if config.sibling_mode == TRUNCATED:
+        # b-bit path elements: zero the pad bits of every element's last byte.
+        elements = np.frombuffer(blob, dtype=np.uint8).reshape(-1, width).copy()
+        elements[:, -1] &= spec.last_byte_mask
+        blob = elements.tobytes()
     base_idx = rng.integers(0, len(ALPHABET), size=(trials, length), dtype=np.uint8)
     sub_idx = rng.integers(0, len(ALPHABET), size=(trials, length), dtype=np.uint8)
     for row in np.nonzero((base_idx == sub_idx).all(axis=1))[0]:
@@ -208,8 +191,6 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
         end = start + stride
         while genuine != forged and start < end:
             s = blob[start : start + width]
-            if mask_last != 0xFF:
-                s = s[:-1] + bytes((s[-1] & mask_last,))
             genuine = node(genuine + s)
             forged = node(forged + s)
             start += width

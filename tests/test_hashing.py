@@ -11,8 +11,6 @@ from merkle_falsify.hashing import (
     HashSpec,
     OracleState,
     hash_bytes,
-    hash_concat,
-    truncate_digest,
 )
 
 from frozen_values import ORACLE_SEED5_Q_U64, SHA_ABC_HEX
@@ -46,6 +44,8 @@ def test_spec_validation():
         HashSpec(IDEAL, 65)
     with pytest.raises(ValueError):
         HashSpec("md5", 16)
+    with pytest.raises(ValueError):
+        HashSpec(SHA256, True)  # bool is an int subclass, not a width
     assert HashSpec(IDEAL, 64).nbytes == 8
     assert HashSpec(SHA256, 12).last_byte_mask == 0xF0
 
@@ -64,6 +64,8 @@ def test_digest_validation():
         Digest(b"\x00\x00", 4)  # wrong byte count
     with pytest.raises(ValueError):
         Digest(b"", 1)
+    with pytest.raises(ValueError):
+        Digest(b"\x80", True)
 
 
 def test_digest_equality_includes_width():
@@ -92,11 +94,6 @@ def test_truncation_prefix_consistency(data, b1, b2):
     narrow = hash_bytes(data, HashSpec(SHA256, b1))
     wide = hash_bytes(data, HashSpec(SHA256, b2))
     assert narrow.to_int() == wide.to_int() >> (b2 - b1)
-
-
-def test_truncate_digest_rejects_short_input():
-    with pytest.raises(ValueError):
-        truncate_digest(b"\x01\x02", 32)
 
 
 def test_oracle_memoization():
@@ -154,29 +151,12 @@ def test_oracle_uniformity_b4():
         assert abs(c - expect) <= 5 * sigma
 
 
-def test_hash_concat_matches_byte_concat():
-    spec = HashSpec(SHA256, 8)
-    d = hash_bytes(b"abc", spec)
-    assert hash_concat(d, d, spec) == hash_bytes(d.data + d.data, spec)
-    full = HashSpec(SHA256, 256)
-    f = hash_bytes(b"abc", full)
-    assert hash_concat(f, f, full) == hash_bytes(f.data + f.data, full)
-
-
-def test_hash_concat_width_mismatch():
-    spec = HashSpec(SHA256, 16)
-    with pytest.raises(ValueError):
-        hash_concat(hash_bytes(b"a", spec), hash_bytes(b"b", HashSpec(SHA256, 8)), spec)
-    with pytest.raises(ValueError):
-        hash_concat(hash_bytes(b"a", HashSpec(SHA256, 8)), hash_bytes(b"b", HashSpec(SHA256, 8)), spec)
-
-
 def test_hash_concat_ideal_pad_invariant():
     oracle = OracleState(0)
     spec = HashSpec(IDEAL, 4)
     a = hash_bytes(b"a", spec, oracle)
     b = hash_bytes(b"b", spec, oracle)
-    out = hash_concat(a, b, spec, oracle)
+    out = hash_bytes(a.data + b.data, spec, oracle)
     assert out.bits == 4
     assert out.data[-1] & 0x0F == 0
 

@@ -138,8 +138,6 @@ def test_proof_length_is_padded_log2():
 def test_levels_recompute():
     # rebuilding from the stored leaf level (duplicate-if-odd, then pair)
     # reproduces every stored level, pads included
-    from merkle_falsify.hashing import hash_concat
-
     for n in (2, 3, 5, 6, 7, 12):
         tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 40))
         level = list(tree.levels[0])
@@ -149,11 +147,31 @@ def test_levels_recompute():
                 level = level + [level[-1]]
                 rebuilt[-1] = level
             level = [
-                hash_concat(level[i], level[i + 1], tree.spec)
+                hash_bytes(level[i].data + level[i + 1].data, tree.spec)
                 for i in range(0, len(level), 2)
             ]
             rebuilt.append(level)
         assert rebuilt == tree.levels
+
+
+def test_node_payload_verifies_as_leaf():
+    # Known weakness, pinned: leaves and nodes hash without a domain prefix
+    # (RFC 6962 2.1 prefixes leaves with 0x00 and nodes with 0x01), so the
+    # 64-byte concatenation of two leaf digests passes as a leaf one level up.
+    blocks = [f"b{i}".encode() for i in range(4)]
+    tree = build_tree(blocks, SPEC256)
+    payload = tree.levels[0][0].data + tree.levels[0][1].data
+    assert len(payload) == 64
+    proof = generate_proof(tree, 0)
+    lifted = MerkleProof(bits=256, leaf_index=0, steps=proof.steps[1:])
+    assert verify_proof(payload, lifted, tree.root, SPEC256)
+
+
+def test_duplicated_last_leaf_shares_root():
+    # Known weakness, pinned: an odd level duplicates its last digest, so a
+    # list with its last block repeated builds the same root (CVE-2012-2459).
+    a, b, c = b"a", b"b", b"c"
+    assert build_tree([a, b, c], SPEC256).root == build_tree([a, b, c, c], SPEC256).root
 
 
 def test_index_errors():
@@ -162,6 +180,8 @@ def test_index_errors():
         generate_proof(tree, 2)
     with pytest.raises(IndexError):
         generate_proof(tree, -1)
+    with pytest.raises(IndexError):
+        generate_proof(tree, True)  # would serialize as "leaf_index": true
     with pytest.raises(ValueError):
         build_tree([], SPEC256)
 
@@ -232,6 +252,9 @@ def test_proof_json_malformed():
     good = json.loads(proof_to_json(generate_proof(build_tree([b"a", b"b"], SPEC256), 0)))
     for mangle in (
         lambda o: o.update(version=2),
+        lambda o: o.update(version=True),  # JSON true == 1, but is no version
+        lambda o: o.update(bits=True),
+        lambda o: o.update(leaf_index=True),
         lambda o: o.update(bits=0),
         lambda o: o.update(leaf_index=-1),
         lambda o: o.update(leaf_index=2),  # a 1-step path has leaves 0 and 1

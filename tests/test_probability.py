@@ -16,9 +16,7 @@ from merkle_falsify.probability import (
     diff_table,
     exact_falsification_prob,
     exact_falsification_prob_termsum,
-    geometric_sum,
     no_collision_log_prob,
-    single_collision_prob,
 )
 
 from frozen_values import EXACT_10_10_DECIMAL, REFERENCE_DIFFS
@@ -34,17 +32,13 @@ def test_params_validation():
         PathParams(0, 5)
     with pytest.raises(ValueError):
         PathParams(4, -1)
+    with pytest.raises(ValueError):
+        PathParams(True, 5)  # bool is an int subclass, not a width
     PathParams(1, 0)
 
 
-def test_single_collision_small():
-    assert single_collision_prob(1).exact_rational == Fraction(1, 2)
-    assert single_collision_prob(2).exact_rational == Fraction(1, 4)
-    assert float(single_collision_prob(2).value) == 0.25
-
-
 def test_single_collision_256():
-    p = single_collision_prob(256)
+    p = exact_falsification_prob(PathParams(256, 0))
     assert p.exact_rational == Fraction(1, 1 << 256)
     assert float(p.value) == pytest.approx(8.636e-78, rel=1e-3)
     assert p.value > 0
@@ -126,30 +120,10 @@ def test_termsum_matches_per_term_fraction_sum(b, m):
     assert gap < mpf(10) ** -60
 
 
-def test_geometric_sum_examples():
-    assert geometric_sum(Fraction(1, 2), Fraction(1, 2), 2) == Fraction(3, 4)
-    assert geometric_sum(Fraction(3, 4), Fraction(3, 4), 1) == Fraction(3, 4)
-    assert geometric_sum(Fraction(1, 2), Fraction(1, 3), 0) == 0
-    with pytest.raises(ValueError):
-        geometric_sum(Fraction(1, 2), Fraction(1), 3)
-    with pytest.raises(ValueError):
-        geometric_sum(Fraction(1, 2), Fraction(1, 2), -1)
-
-
-def test_geometric_sum_collapses_level_terms():
-    # G_m with g = z = 1 - 2^-b equals (2^b - 1)(1 - (1 - 2^-b)^m)
-    for b in (1, 2, 5, 8):
-        q = 1 - Fraction(1, 1 << b)
-        for m in (0, 1, 5, 64):
-            expect = ((1 << b) - 1) * (1 - q**m)
-            assert geometric_sum(q, q, m) == expect
-
-
 def test_approx_m0_cancellation_exact():
     for b in (1, 8, 52, 64):
         approx = approx_falsification_prob(PathParams(b, 0))
-        single = single_collision_prob(b)
-        assert approx.value == single.value
+        assert approx.value == mpf(2) ** -b
         assert approx.exact_rational is None
 
 

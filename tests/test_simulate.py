@@ -53,13 +53,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=-1)
     with pytest.raises(ValueError):
+        ExperimentConfig(bits=2, path_len=True)
+    with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, trials_per_experiment=0)
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, num_experiments=0)
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, data_length=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(bits=2, path_len=0, alphabet="hex")
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, sibling_mode="narrow")
     with pytest.raises(ValueError):
