@@ -96,17 +96,6 @@ class Digest:
     def hex(self) -> str:
         return self.data.hex()
 
-    def to_int(self) -> int:
-        """Digest value as an integer (pad bits dropped)."""
-        return int.from_bytes(self.data, "big") >> ((8 - self.bits % 8) % 8)
-
-    @classmethod
-    def from_int(cls, value: int, bits: int) -> "Digest":
-        if not 0 <= value < (1 << bits):
-            raise ValueError(f"value {value} does not fit in {bits} bits")
-        shifted = value << ((8 - bits % 8) % 8)
-        return cls(shifted.to_bytes((bits + 7) // 8, "big"), bits)
-
     @classmethod
     def from_hex(cls, text: str, bits: int) -> "Digest":
         try:

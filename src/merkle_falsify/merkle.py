@@ -3,10 +3,11 @@
 Construction pairs digests left to right.  A level with an odd number of
 digests is first extended by duplicating its final digest, so every level
 pairs cleanly; a single-leaf tree is just the leaf digest.  A parent node is
-the kernel ``hashing.node_fn`` applied to ``left.data || right.data`` under
+the kernel ``hashing.node_fn`` applied to the bytes ``left || right`` under
 the tree's :class:`HashSpec`.  Tree code binds that kernel once per call and
-hashes raw bytes; :class:`Digest` values are built only for what a call
-returns or stores (the levels of a tree, the root of a fold).
+hashes raw bytes.  A tree's levels hold the kernel's raw output; a
+:class:`Digest` is built only for a value that leaves the code: a tree's
+root, the siblings of a proof, the result of a fold.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
@@ -80,19 +81,24 @@ class MerkleProof:
 class MerkleTree:
     """A built tree: all levels retained, leaves first, root level last.
 
+    Each level entry is the kernel's raw output: ``spec.nbytes`` bytes,
+    left-aligned, pad bits zero -- the ``data`` of a :class:`Digest` at
+    ``spec.bits``, without the object.  ``root`` and ``generate_proof``
+    wrap the few entries they hand out.
+
     ``levels[0]`` holds the leaf digests *after* any duplication padding;
     ``leaf_count`` is the number of original blocks.  Treat instances as
     immutable snapshots -- mutating ``levels`` invalidates proofs.
     """
 
-    def __init__(self, spec: HashSpec, leaf_count: int, levels: list[list[Digest]]):
+    def __init__(self, spec: HashSpec, leaf_count: int, levels: list[list[bytes]]):
         self.spec = spec
         self.leaf_count = leaf_count
         self.levels = levels
 
     @property
     def root(self) -> Digest:
-        return self.levels[-1][0]
+        return Digest(self.levels[-1][0], self.spec.bits)
 
     @property
     def height(self) -> int:
@@ -107,18 +113,12 @@ def build_tree(
     if len(leaves) == 0:
         raise ValueError("cannot build a tree from zero leaves")
     node = node_fn(spec, oracle)
-    bits = spec.bits
-    levels = [[Digest(node(block), bits) for block in leaves]]
+    levels = [[node(block) for block in leaves]]
     while len(levels[-1]) > 1:
         cur = levels[-1]
         if len(cur) % 2:
             cur.append(cur[-1])
-        levels.append(
-            [
-                Digest(node(cur[i].data + cur[i + 1].data), bits)
-                for i in range(0, len(cur), 2)
-            ]
-        )
+        levels.append([node(cur[i] + cur[i + 1]) for i in range(0, len(cur), 2)])
     return MerkleTree(spec, len(leaves), levels)
 
 
@@ -128,14 +128,14 @@ def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
         raise IndexError(
             f"leaf index {leaf_index!r} out of range for {tree.leaf_count} leaves"
         )
+    bits = tree.spec.bits
     steps = []
     index = leaf_index
     for level in tree.levels[:-1]:
-        sibling_index = index ^ 1
         side = RIGHT if index % 2 == 0 else LEFT
-        steps.append(ProofStep(level[sibling_index], side))
+        steps.append(ProofStep(Digest(level[index ^ 1], bits), side))
         index //= 2
-    return MerkleProof(bits=tree.spec.bits, leaf_index=leaf_index, steps=tuple(steps))
+    return MerkleProof(bits=bits, leaf_index=leaf_index, steps=tuple(steps))
 
 
 def verify_proof(

@@ -76,15 +76,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.hash_spec()  # validates oracle_kind and bits range
         PathParams(self.bits, self.path_len)  # validates path_len
-        if self.trials_per_experiment < 1:
+        # bool is an int subclass and floats compare with ints, so counts
+        # are checked by type before range.
+        if type(self.trials_per_experiment) is not int or self.trials_per_experiment < 1:
             raise ValueError("trials_per_experiment must be >= 1")
-        if self.num_experiments < 1:
+        if type(self.num_experiments) is not int or self.num_experiments < 1:
             raise ValueError("num_experiments must be >= 1")
-        if self.data_length < 1:
+        if type(self.data_length) is not int or self.data_length < 1:
             raise ValueError("data_length must be >= 1")
         if self.sibling_mode not in (WIDE, TRUNCATED):
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
-        if not 0 <= self.master_seed < (1 << 64):
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < (1 << 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
 
     def hash_spec(self) -> HashSpec:

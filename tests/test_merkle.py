@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from merkle_falsify import hashing
 from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, hash_bytes
 from merkle_falsify.merkle import (
     MerkleProof,
@@ -58,8 +59,8 @@ def test_three_leaf_duplication_structure():
     # leaf 2 pairs with its own duplicate, then the left subtree node
     proof = generate_proof(tree, 2)
     assert [s.side for s in proof.steps] == ["right", "left"]
-    assert proof.steps[0].sibling == tree.levels[0][2]
-    assert proof.steps[1].sibling == tree.levels[1][0]
+    assert proof.steps[0].sibling.data == tree.levels[0][2]
+    assert proof.steps[1].sibling.data == tree.levels[1][0]
     assert verify_proof(b"c", proof, tree.root, SPEC256)
 
 
@@ -147,11 +148,51 @@ def test_levels_recompute():
                 level = level + [level[-1]]
                 rebuilt[-1] = level
             level = [
-                hash_bytes(level[i].data + level[i + 1].data, tree.spec)
+                hash_bytes(level[i] + level[i + 1], tree.spec).data
                 for i in range(0, len(level), 2)
             ]
             rebuilt.append(level)
         assert rebuilt == tree.levels
+
+
+@given(
+    st.lists(st.binary(max_size=16), min_size=1, max_size=40),
+    st.sampled_from([1, 4, 8, 12, 40, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_levels_are_raw_kernel_bytes(blocks, bits):
+    # levels hold Digest.data without the object; root and proof siblings
+    # are the only entries wrapped, and they wrap exactly the stored bytes
+    spec = HashSpec(SHA256, bits)
+    tree = build_tree(blocks, spec)
+    pad_mask = 0xFF >> bits % 8 if bits % 8 else 0
+    for level in tree.levels:
+        for entry in level:
+            assert type(entry) is bytes
+            assert len(entry) == spec.nbytes
+            assert entry[-1] & pad_mask == 0
+    assert tree.root == Digest(tree.levels[-1][0], bits)
+    for index in range(len(blocks)):
+        proof = generate_proof(tree, index)
+        at = index
+        for k, step in enumerate(proof.steps):
+            assert step.sibling == Digest(tree.levels[k][at ^ 1], bits)
+            at //= 2
+        assert verify_proof(blocks[index], proof, tree.root, spec)
+
+
+def test_build_tree_builds_no_digest(monkeypatch):
+    # guard: a tree stores raw bytes, so building one validates no Digest
+    calls = []
+    real = hashing.Digest.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(hashing.Digest, "__post_init__", counting)
+    build_tree([i.to_bytes(2, "big") for i in range(1000)], SPEC256)
+    assert len(calls) == 0
 
 
 def test_node_payload_verifies_as_leaf():
@@ -160,7 +201,7 @@ def test_node_payload_verifies_as_leaf():
     # 64-byte concatenation of two leaf digests passes as a leaf one level up.
     blocks = [f"b{i}".encode() for i in range(4)]
     tree = build_tree(blocks, SPEC256)
-    payload = tree.levels[0][0].data + tree.levels[0][1].data
+    payload = tree.levels[0][0] + tree.levels[0][1]
     assert len(payload) == 64
     proof = generate_proof(tree, 0)
     lifted = MerkleProof(bits=256, leaf_index=0, steps=proof.steps[1:])

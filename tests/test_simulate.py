@@ -64,6 +64,12 @@ def test_config_validation():
         ExperimentConfig(bits=2, path_len=0, sibling_mode="narrow")
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, master_seed=1 << 64)
+    # counts are integers by type: floats and bools are rejected up front
+    # rather than failing later inside run_experiment or rng.integers
+    for field in ("trials_per_experiment", "num_experiments", "data_length", "master_seed"):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError):
+                ExperimentConfig(bits=2, path_len=0, **{field: bad})
 
 
 def test_sibling_width():
