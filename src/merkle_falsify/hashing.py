@@ -4,9 +4,10 @@ Two hash backends share one interface:
 
 - ``sha256``: SHA-256 truncated to the *most significant* ``bits`` bits
   (1..256).
-- ``ideal``: a seeded, memoized random oracle returning uniform ``bits``-bit
-  values (1..64).  Repeated queries for the same input return the same
-  digest; the whole table is reproducible from the seed.
+- ``ideal``: a seeded random oracle returning uniform ``bits``-bit values
+  (1..64).  Each query is one SHA-256 of ``seed || input``, so a repeated
+  query returns the same digest and nothing is cached: every value is
+  reproducible from the seed alone.
 
 Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
 bytes, left-aligned, with the unused low-order bits of the final byte forced
@@ -25,6 +26,7 @@ Every hash in the package goes through one kernel:
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +38,13 @@ _ALGORITHMS = (SHA256, IDEAL)
 # The random oracle derives values from a 64-bit intermediate, so it cannot
 # produce more than 64 independent bits per input.
 _MAX_BITS = {SHA256: 256, IDEAL: 64}
+
+# The SHA-256 constructor, bound once at import for both backends.  A wrapper
+# installed on ``hashlib.sha256`` before the package is imported (a call
+# counter, say) therefore still sees every hash.
+_sha256 = hashlib.sha256
+# The low 64 bits of a 32-byte digest, as a big-endian unsigned integer.
+_low64 = struct.Struct(">Q").unpack_from
 
 
 @dataclass(frozen=True)
@@ -106,36 +115,34 @@ class Digest:
 
 
 class OracleState:
-    """Memoized random oracle, reproducible from a 64-bit seed.
+    """Random oracle, reproducible from a 64-bit seed.
 
-    The first query for an input draws a fresh 64-bit value by hashing
-    ``seed || input`` with full-width SHA-256 and keeping the low 64 bits;
-    subsequent queries return the memoized value.  ``node_fn`` then keeps
-    the low ``bits`` bits of that value, so the same state can serve any
-    width up to 64 consistently.
+    Each query draws its 64-bit value by hashing ``seed || input`` with
+    full-width SHA-256 and keeping the low 64 bits.  Nothing is cached: a
+    repeated query hashes again and gets the same value, and the state's size
+    stays constant however many inputs are queried.  ``node_fn`` then keeps the
+    low ``bits`` bits of that value, so the same state can serve any width
+    up to 64 consistently.  ``len()`` is the number of values drawn so far,
+    one per query.
 
     Not safe for concurrent mutation -- give each worker its own instance.
     """
 
     def __init__(self, seed: int = 0) -> None:
-        if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+        # bool is an int subclass, but True is not a seed.
+        if type(seed) is not int or not 0 <= seed < (1 << 64):
             raise ValueError(f"oracle seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = seed
         self._prefix = seed.to_bytes(8, "big")
-        self._table: dict[bytes, int] = {}
+        self._draws = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return self._draws
 
     def value64(self, data: bytes) -> int:
-        """The memoized 64-bit value backing every truncated width."""
-        got = self._table.get(data)
-        if got is None:
-            got = int.from_bytes(
-                hashlib.sha256(self._prefix + data).digest()[-8:], "big"
-            )
-            self._table[data] = got
-        return got
+        """The 64-bit value backing every truncated width: one SHA-256 per call."""
+        self._draws += 1
+        return _low64(_sha256(self._prefix + data).digest(), 24)[0]
 
 
 def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
@@ -160,7 +167,7 @@ def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[byte
         return lambda x: ((value64(x) & bitmask) << pad).to_bytes(nb, "big")
     if oracle is not None:
         raise ValueError("oracle supplied but algorithm is sha256")
-    sha = hashlib.sha256
+    sha = _sha256
     if spec.bits % 8 == 0:
         return lambda x: sha(x).digest()[:nb]
     mask = spec.last_byte_mask

@@ -88,23 +88,36 @@ def test_truncation_prefix_consistency(data, b1, b2):
     assert to_int(narrow) == to_int(wide) >> (b2 - b1)
 
 
-def test_oracle_memoization():
+def test_oracle_repeat_query_is_deterministic():
     oracle = OracleState(3)
     spec = HashSpec(IDEAL, 16)
     first = hash_bytes(b"payload", spec, oracle)
     second = hash_bytes(b"payload", spec, oracle)
     assert first == second
-    assert len(oracle) == 1
+    # nothing is cached: each query is one draw
+    assert len(oracle) == 2
     # a second state with the same seed reproduces the value
     assert hash_bytes(b"payload", spec, OracleState(3)) == first
 
 
-def test_oracle_value_derivation():
+@given(
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.binary(max_size=64),
+    st.lists(st.binary(max_size=64), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_value_derivation(seed, data, others):
     # frozen: low 64 bits of sha256(seed_be8 || input)
     oracle = OracleState(5)
     assert oracle.value64(b"q") == ORACLE_SEED5_Q_U64
     d = hash_bytes(b"q", HashSpec(IDEAL, 4), oracle)
     assert to_int(d) == ORACLE_SEED5_Q_U64 & 0xF
+    # the same derivation for any seed and input, after unrelated queries
+    oracle = OracleState(seed)
+    for other in others:
+        oracle.value64(other)
+    expect = int.from_bytes(hashlib.sha256(seed.to_bytes(8, "big") + data).digest()[-8:], "big")
+    assert oracle.value64(data) == expect
 
 
 def test_oracle_widths_consistent():
@@ -120,6 +133,9 @@ def test_oracle_seed_range():
         OracleState(-1)
     with pytest.raises(ValueError):
         OracleState(1 << 64)
+    for seed in (True, False):  # bool is an int subclass, not a seed
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            OracleState(seed)
 
 
 def test_oracle_seed_sensitivity():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ def test_lockstep_fold_matches_full_fold(oracle_kind, bits, path_len, sibling_mo
         oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=seed,
     )
     assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
+
+
+def test_ideal_experiment_memory_is_bounded():
+    # The oracle keeps no per-query state, so an experiment's peak allocation
+    # follows its T * m * 32 bytes of drawn wide siblings (plus transient
+    # copies), not the 2 * T * (m + 1) oracle queries its folds make.
+    T, m = 200, 200
+    cfg = ExperimentConfig(
+        bits=14, path_len=m, trials_per_experiment=T, num_experiments=1,
+        oracle_kind=IDEAL, master_seed=3,
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * T * m * 32 + (1 << 20)
 
 
 def test_b1_m0_ideal_close_to_half():
