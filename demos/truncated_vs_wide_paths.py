@@ -15,26 +15,33 @@ is evaluated once and reused, and levels stop being independent.  The
 "truncated" sibling mode reproduces that regime.
 """
 
-from merkle_falsify import ExperimentConfig, run_cell
+from merkle_falsify import ExperimentConfig, run_grid
 
-# b=2, m=10, ideal oracle: only 4 distinct sibling values exist, so an
-# 11-step path almost surely repeats fold inputs many times over.
-for mode in ("wide", "truncated"):
-    cell = run_cell(
+
+def compare(bits: int, **common) -> None:
+    """One run_grid call over both sibling modes at b = bits, m = 10."""
+    configs = [
         ExperimentConfig(
-            bits=2,
+            bits=bits,
             path_len=10,
             trials_per_experiment=1000,
             num_experiments=20,
-            oracle_kind="ideal",
             sibling_mode=mode,
             master_seed=7,
+            **common,
         )
-    )
-    print(
-        f"b=2  m=10  {mode:9s}: empirical {cell.empirical_p:.4f}"
-        f"  closed form {cell.exact_p:.4f}  z = {cell.z_score:+8.1f}"
-    )
+        for mode in ("wide", "truncated")
+    ]
+    for cell in run_grid(configs):
+        print(
+            f"b={bits}  m=10  {cell.config.sibling_mode:9s}: empirical {cell.empirical_p:.4f}"
+            f"  closed form {cell.exact_p:.4f}  z = {cell.z_score:+8.1f}"
+        )
+
+
+# b=2, m=10, ideal oracle: only 4 distinct sibling values exist, so an
+# 11-step path almost surely repeats fold inputs many times over.
+compare(2, oracle_kind="ideal")
 
 print()
 print("wide matches the closed form; truncated undershoots it badly --")
@@ -43,18 +50,4 @@ print()
 
 # The dependence fades as b grows: at b=8 there are 256 sibling values,
 # repeats along an 11-step path are rare, and both modes agree.
-for mode in ("wide", "truncated"):
-    cell = run_cell(
-        ExperimentConfig(
-            bits=8,
-            path_len=10,
-            trials_per_experiment=1000,
-            num_experiments=20,
-            sibling_mode=mode,
-            master_seed=7,
-        )
-    )
-    print(
-        f"b=8  m=10  {mode:9s}: empirical {cell.empirical_p:.4f}"
-        f"  closed form {cell.exact_p:.4f}  z = {cell.z_score:+8.1f}"
-    )
+compare(8)

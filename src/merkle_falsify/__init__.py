@@ -6,14 +6,12 @@ from .hashing import (
     Digest,
     HashSpec,
     OracleState,
-    hash_bytes,
 )
 from .merkle import (
     MerkleProof,
     MerkleTree,
     ProofStep,
     build_tree,
-    fold_path,
     generate_proof,
     proof_from_json,
     proof_to_json,
@@ -30,16 +28,12 @@ from .probability import (
     diff_table,
     exact_falsification_prob,
     exact_falsification_prob_termsum,
-    no_collision_log_prob,
 )
 from .report import ReportTable, format_sig
 from .simulate import (
     CellResult,
     ExperimentConfig,
-    SimulationReport,
     build_grid,
-    derive_cell_seed,
-    run_cell,
     run_experiment,
     run_grid,
 )
@@ -52,12 +46,10 @@ __all__ = [
     "Digest",
     "HashSpec",
     "OracleState",
-    "hash_bytes",
     "MerkleProof",
     "MerkleTree",
     "ProofStep",
     "build_tree",
-    "fold_path",
     "generate_proof",
     "proof_from_json",
     "proof_to_json",
@@ -72,15 +64,11 @@ __all__ = [
     "diff_table",
     "exact_falsification_prob",
     "exact_falsification_prob_termsum",
-    "no_collision_log_prob",
     "ReportTable",
     "format_sig",
     "CellResult",
     "ExperimentConfig",
-    "SimulationReport",
     "build_grid",
-    "derive_cell_seed",
-    "run_cell",
     "run_experiment",
     "run_grid",
     "__version__",

@@ -25,6 +25,8 @@ MARGIN_RIGHT = 110
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 50
 
+_FLOAT_FIELDS = ("empirical_p", "exact_p", "std_error", "z_score")
+
 
 def read_simulation_csv(text: str) -> list[dict]:
     """Parse rows written by the simulation CSV emitter; malformed input raises."""
@@ -44,21 +46,30 @@ def read_simulation_csv(text: str) -> list[dict]:
         if len(raw) != len(header):
             raise ValueError(f"row {k + 1} has {len(raw)} fields, want {len(header)}")
         try:
-            rows.append(
-                {
-                    "bits": int(raw[0]),
-                    "path_len": int(raw[1]),
-                    "total_trials": int(raw[2]),
-                    "matches": int(raw[3]),
-                    "empirical_p": float(raw[4]),
-                    "exact_p": float(raw[5]),
-                    "std_error": float(raw[6]),
-                    "z_score": float(raw[7]),
-                    "seed": int(raw[8]),
-                }
-            )
+            row = {
+                "bits": int(raw[0]),
+                "path_len": int(raw[1]),
+                "total_trials": int(raw[2]),
+                "matches": int(raw[3]),
+                "empirical_p": float(raw[4]),
+                "exact_p": float(raw[5]),
+                "std_error": float(raw[6]),
+                "z_score": float(raw[7]),
+                "seed": int(raw[8]),
+            }
         except ValueError as exc:
             raise ValueError(f"row {k + 1} is not numeric: {exc}") from exc
+        # float() accepts "nan" and "inf", which would plot as nan coordinates.
+        if not all(math.isfinite(row[key]) for key in _FLOAT_FIELDS):
+            raise ValueError(f"row {k + 1} has a non-finite value")
+        if row["total_trials"] < 1:
+            raise ValueError(f"row {k + 1} has total_trials {row['total_trials']} < 1")
+        if not 0 <= row["matches"] <= row["total_trials"]:
+            raise ValueError(
+                f"row {k + 1} has matches {row['matches']} outside "
+                f"0..{row['total_trials']}"
+            )
+        rows.append(row)
     if not rows:
         raise ValueError("CSV has no data rows")
     return rows

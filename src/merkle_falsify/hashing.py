@@ -19,8 +19,6 @@ Every hash in the package goes through one kernel:
   and returns a ``bytes -> bytes`` function yielding the truncated digest
   bytes.  It is the only place that knows truncation and the ideal-oracle
   bit layout; trees and the simulator bind it once and fold raw bytes.
-- ``hash_bytes(data, spec, oracle=None)`` -- the same kernel, wrapped in a
-  :class:`Digest` for callers that want a validated value.
 """
 
 from __future__ import annotations
@@ -178,8 +176,3 @@ def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[byte
         return d[:cut] + bytes((d[cut] & mask,))
 
     return node
-
-
-def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
-    """Hash ``data`` under ``spec``: the kernel's output as a :class:`Digest`."""
-    return Digest(node_fn(spec, oracle)(data), spec.bits)

@@ -7,7 +7,7 @@ the kernel ``hashing.node_fn`` applied to the bytes ``left || right`` under
 the tree's :class:`HashSpec`.  Tree code binds that kernel once per call and
 hashes raw bytes.  A tree's levels hold the kernel's raw output; a
 :class:`Digest` is built only for a value that leaves the code: a tree's
-root, the siblings of a proof, the result of a fold.
+root and the siblings of a proof.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
@@ -15,12 +15,6 @@ in the concatenation.  The sides are the bits of the leaf's index, low bit
 first, and verification rejects a proof whose sides and ``leaf_index``
 disagree.  Verification then rehashes the block, folds the siblings in
 order, and compares against the expected root.
-
-``fold_path`` exposes the bare fold: starting from a leaf digest, each step
-applies the kernel to ``current || sibling``.  That is exactly the
-reconstruction done by a proof whose siblings all sit on the right, and it
-is also the path model used by the simulator -- which is why ``fold_path``
-accepts siblings wider than the node width (see ``simulate``).
 
 Known caveat: leaves are hashed payload bytes directly, with no
 domain-separation prefix distinguishing leaf hashing from internal-node
@@ -72,10 +66,6 @@ class MerkleProof:
     bits: int
     leaf_index: int
     steps: tuple[ProofStep, ...]
-
-    @property
-    def path_len(self) -> int:
-        return len(self.steps)
 
 
 class MerkleTree:
@@ -177,28 +167,6 @@ def verify_proof(
         else:
             current = node(step.sibling.data + current)
     return current == expected_root.data
-
-
-def fold_path(
-    leaf: Digest,
-    siblings: Sequence[Digest],
-    spec: HashSpec,
-    oracle: OracleState | None = None,
-) -> Digest:
-    """Fold ``leaf`` through ``siblings``, hashing ``current || sibling``.
-
-    The running digest must be at ``spec.bits``.  Siblings may be any width:
-    tree paths supply node-width digests, while simulated paths supply
-    full-width random elements so that every level contributes an
-    independent collision opportunity.
-    """
-    if leaf.bits != spec.bits:
-        raise ValueError(f"leaf has {leaf.bits} bits, spec.bits is {spec.bits}")
-    node = node_fn(spec, oracle)
-    current = leaf.data
-    for sibling in siblings:
-        current = node(current + sibling.data)
-    return Digest(current, spec.bits)
 
 
 def proof_to_json(proof: MerkleProof) -> str:

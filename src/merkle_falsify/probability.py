@@ -93,18 +93,6 @@ def exact_falsification_prob(params: PathParams) -> Probability:
     return Probability(value, rational)
 
 
-def no_collision_log_prob(params: PathParams) -> mpf:
-    """Natural log of the survival probability 1 - P = (1 - 2^-b)^(m+1).
-
-    Equals (m+1) * log1p(-2^-b).  Stays finite and strictly ordered in b and
-    m long after 1 - P itself underflows any fixed working precision (e.g.
-    b=1, m=10^6, where the survival mass is ~10^-301030).
-    """
-    b, m = params.bits, params.path_len
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        return (m + 1) * mpmath.log1p(-mpf(2) ** (-b))
-
-
 def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     """Literal sum 1/2^b + sum_{k=1}^{m} (1 - 1/2^b)^k / 2^b, exact rationals.
 

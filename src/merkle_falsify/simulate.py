@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import os
 import string
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -114,47 +113,27 @@ class CellResult:
     z_score: float
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    cells: list[CellResult]
-    master_seed: int
-    duration_seconds: float
+def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: int) -> int:
+    """Low 64 bits of SHA-256("<tag>:<master>:<bits>:<path_len>:<index>").
 
-
-def _seed_hash(tag: str, master_seed: int, bits: int, path_len: int, index: int) -> int:
+    Tag "seed" seeds an experiment's draws; tag "oracle" seeds its ideal
+    oracle, so the oracle's randomness never overlaps the draw stream.
+    """
     text = f"{tag}:{master_seed}:{bits}:{path_len}:{index}"
     return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest()[-8:], "big")
 
 
-def derive_cell_seed(
-    master_seed: int, bits: int, path_len: int, experiment_index: int
-) -> int:
-    """Low 64 bits of SHA-256("seed:<master>:<bits>:<path_len>:<index>")."""
-    return _seed_hash("seed", master_seed, bits, path_len, experiment_index)
-
-
-def _derive_oracle_seed(
-    master_seed: int, bits: int, path_len: int, experiment_index: int
-) -> int:
-    # Same construction, distinct tag, so the oracle's randomness never
-    # overlaps the draw stream.
-    return _seed_hash("oracle", master_seed, bits, path_len, experiment_index)
-
-
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
-    if not 0 <= experiment_index < config.num_experiments:
+    # The index is part of the seed text, so 1.0 or True would silently
+    # draw a different stream than 1.
+    if type(experiment_index) is not int or not 0 <= experiment_index < config.num_experiments:
         raise ValueError(f"experiment_index {experiment_index} out of range")
-    rng = np.random.default_rng(
-        derive_cell_seed(config.master_seed, config.bits, config.path_len, experiment_index)
-    )
+    key = (config.master_seed, config.bits, config.path_len, experiment_index)
+    rng = np.random.default_rng(_derive_seed("seed", *key))
     oracle = None
     if config.oracle_kind == IDEAL:
-        oracle = OracleState(
-            _derive_oracle_seed(
-                config.master_seed, config.bits, config.path_len, experiment_index
-            )
-        )
+        oracle = OracleState(_derive_seed("oracle", *key))
     spec = config.hash_spec()
     node = node_fn(spec, oracle)
 
@@ -218,19 +197,14 @@ def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:
     )
 
 
-def run_cell(config: ExperimentConfig) -> CellResult:
-    matches = sum(
-        run_experiment(config, k) for k in range(config.num_experiments)
-    )
-    return _finalize_cell(config, matches)
-
-
 def _run_task(task: tuple[ExperimentConfig, int]) -> int:
+    # Pool workers receive this function by name and look run_experiment up
+    # when called, so a wrapper installed on it (a tracer, say) runs there too.
     return run_experiment(*task)
 
 
-def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> SimulationReport:
-    """Evaluate all cells; results are independent of worker count.
+def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResult]:
+    """One CellResult per config, in order; independent of worker count.
 
     Experiments fan out over a process pool of at most
     min(workers, number of experiments, CPU count) processes; counts are
@@ -238,9 +212,8 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> SimulationRep
     """
     if not configs:
         raise ValueError("run_grid needs at least one config")
-    if workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError("workers must be >= 1")
-    start = time.perf_counter()
     tasks = [(config, k) for config in configs for k in range(config.num_experiments)]
     # The pool starts all of its processes up front, so never ask for more
     # than there are tasks or CPUs to run them.
@@ -257,11 +230,7 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> SimulationRep
         matches = sum(counts[at : at + config.num_experiments])
         at += config.num_experiments
         cells.append(_finalize_cell(config, matches))
-    return SimulationReport(
-        cells=cells,
-        master_seed=configs[0].master_seed,
-        duration_seconds=time.perf_counter() - start,
-    )
+    return cells
 
 
 def build_grid(

@@ -62,7 +62,8 @@ FOLD3_ROOT_HEX = "2975c67ca7a6c6ad344136a62809227abad8799d48e3440c1066e23fdc2229
 # SHA-256(seed_be8 || input).
 ORACLE_SEED5_Q_U64 = 9570640286106825452
 
-# derive_cell_seed(0, 2, 10, 0): low 64 bits of SHA-256(b"seed:0:2:10:0").
+# Seed of experiment 0 in cell (b=2, m=10) at master seed 0: low 64 bits of
+# SHA-256(b"seed:0:2:10:0").
 CELL_SEED_0_2_10_0 = 6894408645117381920
 
 # exact probability at (10, 10) as a 40-digit decimal of the exact rational

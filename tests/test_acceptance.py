@@ -24,7 +24,7 @@ from merkle_falsify.probability import (
     exact_falsification_prob,
     exact_falsification_prob_termsum,
 )
-from merkle_falsify.simulate import ExperimentConfig, build_grid, run_cell, run_grid
+from merkle_falsify.simulate import ExperimentConfig, build_grid, run_grid
 import test_merkle as merkle_suite
 
 from frozen_values import REFERENCE_DIFFS
@@ -99,27 +99,29 @@ def test_criterion_4_statistical_replay_sha256():
         [2, 4, 6, 8], [10, 50],
         trials_per_experiment=1000, num_experiments=100, master_seed=0,
     )
-    report = run_grid(grid, workers=1)
-    long_cell = run_cell(
-        ExperimentConfig(
-            bits=2, path_len=1000,
-            trials_per_experiment=1000, num_experiments=10, master_seed=0,
-        )
+    cells = run_grid(grid, workers=1)
+    [long_cell] = run_grid(
+        [
+            ExperimentConfig(
+                bits=2, path_len=1000,
+                trials_per_experiment=1000, num_experiments=10, master_seed=0,
+            )
+        ]
     )
     elapsed = time.perf_counter() - start
 
-    cells = {(c.config.bits, c.config.path_len): c for c in report.cells}
-    all_z = [abs(c.z_score) for c in report.cells] + [abs(long_cell.z_score)]
+    by_cell = {(c.config.bits, c.config.path_len): c for c in cells}
+    all_z = [abs(c.z_score) for c in cells] + [abs(long_cell.z_score)]
     z_ok = max(all_z) <= 5.0
     # saturated cell: the closed form predicts < 1e-120 mismatch mass
     saturated_ok = long_cell.matches == long_cell.total_trials
     decreasing_in_b = all(
-        cells[(b, m)].empirical_p > cells[(b_next, m)].empirical_p
+        by_cell[(b, m)].empirical_p > by_cell[(b_next, m)].empirical_p
         for m in (10, 50)
         for b, b_next in ((2, 4), (4, 6), (6, 8))
     )
     increasing_in_m = all(
-        cells[(b, 10)].empirical_p < cells[(b, 50)].empirical_p for b in (2, 4, 6, 8)
+        by_cell[(b, 10)].empirical_p < by_cell[(b, 50)].empirical_p for b in (2, 4, 6, 8)
     )
     _gate(
         4,
@@ -136,9 +138,9 @@ def test_criterion_5_random_oracle_exactness():
         trials_per_experiment=1000, num_experiments=100,
         oracle_kind="ideal", master_seed=0,
     )
-    report = run_grid(grid, workers=1)
+    cells = run_grid(grid, workers=1)
     elapsed = time.perf_counter() - start
-    worst = max(abs(c.z_score) for c in report.cells)
+    worst = max(abs(c.z_score) for c in cells)
     _gate(
         5,
         "ideal-oracle grid: all |z| <= 5 at 100,000 trials per cell",
@@ -216,15 +218,15 @@ def test_full_scale_grid_sha256():
         [2, 4, 6, 8, 10], [10, 100, 1000],
         trials_per_experiment=1000, num_experiments=100, master_seed=0,
     )
-    report = run_grid(grid, workers=workers)
-    cells = {(c.config.bits, c.config.path_len): c for c in report.cells}
-    assert max(abs(c.z_score) for c in report.cells) <= 5.0
+    cells = run_grid(grid, workers=workers)
+    by_cell = {(c.config.bits, c.config.path_len): c for c in cells}
+    assert max(abs(c.z_score) for c in cells) <= 5.0
     # saturated cells tie at empirical 1.0, so the trends are non-strict here
     for m in (10, 100, 1000):
-        seq = [cells[(b, m)].empirical_p for b in (2, 4, 6, 8, 10)]
+        seq = [by_cell[(b, m)].empirical_p for b in (2, 4, 6, 8, 10)]
         assert all(x >= y for x, y in zip(seq, seq[1:]))
         assert seq[0] > seq[-1]
     for b in (2, 4, 6, 8, 10):
-        seq = [cells[(b, m)].empirical_p for m in (10, 100, 1000)]
+        seq = [by_cell[(b, m)].empirical_p for m in (10, 100, 1000)]
         assert all(x <= y for x, y in zip(seq, seq[1:]))
         assert seq[0] < seq[-1]

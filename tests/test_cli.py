@@ -210,6 +210,20 @@ def test_figure_malformed_csv(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n")
     assert main(["figure", str(bad)]) == 2
     assert main(["figure", str(tmp_path / "none.csv")]) == 2
+    # rows that parse but cannot come from a simulation: exit 2, no SVG
+    header = "bits,path_len,total_trials,matches,empirical_p,exact_p,std_error,z_score,seed"
+    for row in (
+        "2,1,100,40,nan,0.4375,0.0496,-0.7,0",
+        "2,1,100,40,0.4,0.4375,inf,-0.7,0",
+        "2,1,100,101,1.01,0.4375,0.0496,11.4,0",
+        "2,1,100,-1,-0.01,0.4375,0.0496,-9,0",
+        "2,1,0,0,0,0.4375,0,0,0",
+    ):
+        bad.write_text(f"{header}\n{row}\n")
+        svg = tmp_path / "bad.svg"
+        assert main(["figure", str(bad), "--output", str(svg)]) == 2
+        assert not svg.exists()
+        assert "row 1 " in capsys.readouterr().err
     capsys.readouterr()
 
 

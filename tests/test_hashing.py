@@ -10,10 +10,15 @@ from merkle_falsify.hashing import (
     Digest,
     HashSpec,
     OracleState,
-    hash_bytes,
+    node_fn,
 )
 
 from frozen_values import ORACLE_SEED5_Q_U64, SHA_ABC_HEX
+
+
+def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
+    """The kernel's output for ``data`` as a Digest."""
+    return Digest(node_fn(spec, oracle)(data), spec.bits)
 
 
 def to_int(d: Digest) -> int:

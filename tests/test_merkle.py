@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merkle_falsify import hashing
-from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, hash_bytes
+from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, node_fn
 from merkle_falsify.merkle import (
     MerkleProof,
     ProofStep,
     build_tree,
-    fold_path,
     generate_proof,
     proof_from_json,
     proof_to_json,
@@ -31,12 +30,17 @@ from frozen_values import (
 SPEC256 = HashSpec(SHA256, 256)
 
 
+def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
+    """The kernel's output for ``data`` as a Digest."""
+    return Digest(node_fn(spec, oracle)(data), spec.bits)
+
+
 def test_single_leaf():
     tree = build_tree([b"only"], SPEC256)
     assert tree.root == hash_bytes(b"only", SPEC256)
     assert tree.height == 0
     proof = generate_proof(tree, 0)
-    assert proof.path_len == 0
+    assert len(proof.steps) == 0
     assert verify_proof(b"only", proof, tree.root, SPEC256)
 
 
@@ -133,7 +137,7 @@ def test_proof_length_is_padded_log2():
     for n in range(2, 34):
         tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 32))
         padded = len(tree.levels[0])
-        assert generate_proof(tree, 0).path_len == math.ceil(math.log2(padded))
+        assert len(generate_proof(tree, 0).steps) == math.ceil(math.log2(padded))
 
 
 def test_levels_recompute():
@@ -244,37 +248,33 @@ def test_verify_width_mismatch_raises():
 
 def test_fold_path_right_spine():
     # proof for index 0 of a complete tree has all siblings on the right,
-    # so the bare fold reproduces verification
+    # so the bare fold current || sibling -- the simulator's path model --
+    # reproduces the root
     blocks = [f"n{i}".encode() for i in range(8)]
     tree = build_tree(blocks, SPEC256)
     proof = generate_proof(tree, 0)
     assert all(s.side == "right" for s in proof.steps)
-    folded = fold_path(
-        hash_bytes(blocks[0], SPEC256), [s.sibling for s in proof.steps], SPEC256
-    )
-    assert folded == tree.root
+    node = node_fn(SPEC256)
+    folded = node(blocks[0])
+    for step in proof.steps:
+        folded = node(folded + step.sibling.data)
+    assert folded == tree.root.data
 
 
 def test_fold_path_frozen_vector():
-    leaf = hash_bytes(b"seed", SPEC256)
-    sibs = [hash_bytes(x, SPEC256) for x in (b"s0", b"s1", b"s2")]
-    assert fold_path(leaf, sibs, SPEC256).hex() == FOLD3_ROOT_HEX
+    # leaf index 0: every sibling sits on the right
+    steps = tuple(ProofStep(hash_bytes(x, SPEC256), "right") for x in (b"s0", b"s1", b"s2"))
+    proof = MerkleProof(bits=256, leaf_index=0, steps=steps)
+    root = Digest.from_hex(FOLD3_ROOT_HEX, 256)
+    assert verify_proof(b"seed", proof, root, SPEC256)
+    assert not verify_proof(b"seeds", proof, root, SPEC256)
 
 
 def test_fold_path_empty_is_identity():
-    leaf = hash_bytes(b"x", SPEC256)
-    assert fold_path(leaf, [], SPEC256) == leaf
-
-
-def test_fold_path_accepts_wide_siblings():
-    # node width 8 bits, path elements full 256 bits
-    spec = HashSpec(SHA256, 8)
-    leaf = hash_bytes(b"d", spec)
-    wide = Digest(hashlib.sha256(b"w").digest(), 256)
-    out = fold_path(leaf, [wide], spec)
-    assert out == hash_bytes(leaf.data + wide.data, spec)
-    with pytest.raises(ValueError):
-        fold_path(hash_bytes(b"d", SPEC256), [wide], spec)  # leaf width must match
+    # a zero-step path verifies exactly the leaf's own hash as the root
+    empty = MerkleProof(bits=256, leaf_index=0, steps=())
+    assert verify_proof(b"x", empty, hash_bytes(b"x", SPEC256), SPEC256)
+    assert not verify_proof(b"x", empty, hash_bytes(b"y", SPEC256), SPEC256)
 
 
 def test_proof_json_schema():

@@ -12,7 +12,7 @@ from merkle_falsify.report import (
     ReportTable,
     format_sig,
 )
-from merkle_falsify.simulate import ExperimentConfig, run_cell, run_grid
+from merkle_falsify.simulate import ExperimentConfig, run_grid
 
 
 def test_format_sig_plain_values():
@@ -58,7 +58,7 @@ def test_table_markdown_shape():
     assert len(lines) == 3
 
 
-def _small_report():
+def _small_grid():
     configs = [
         ExperimentConfig(bits=b, path_len=m, trials_per_experiment=60, num_experiments=2, master_seed=4)
         for b in (3, 5)
@@ -68,13 +68,13 @@ def _small_report():
 
 
 def test_simulation_table_and_csv_roundtrip():
-    report = _small_report()
-    table = ReportTable.from_simulation(report.cells)
+    cells = _small_grid()
+    table = ReportTable.from_simulation(cells)
     assert table.header == SIMULATION_HEADER
     text = table.to_csv()
     rows = read_simulation_csv(text)
     assert len(rows) == 4
-    for parsed, cell in zip(rows, report.cells):
+    for parsed, cell in zip(rows, cells):
         assert parsed["bits"] == cell.config.bits
         assert parsed["path_len"] == cell.config.path_len
         assert parsed["matches"] == cell.matches
@@ -86,7 +86,7 @@ def test_simulation_table_and_csv_roundtrip():
 
 def test_read_simulation_csv_rejects_malformed():
     good = ReportTable.from_simulation(
-        [run_cell(ExperimentConfig(bits=2, path_len=0, trials_per_experiment=20, num_experiments=1))]
+        run_grid([ExperimentConfig(bits=2, path_len=0, trials_per_experiment=20, num_experiments=1)])
     ).to_csv()
     with pytest.raises(ValueError):
         read_simulation_csv("")
@@ -102,11 +102,22 @@ def test_read_simulation_csv_rejects_malformed():
     broken[4] = "not-a-number"
     with pytest.raises(ValueError):
         read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
+    # parseable but impossible rows: non-finite floats, no trials, matches
+    # outside 0..total_trials (columns: 2 total_trials, 3 matches, 4-7 floats)
+    impossible = [{k: v} for k in (4, 5, 6, 7) for v in ("nan", "inf", "-inf")]
+    impossible += [{2: "0", 3: "0"}, {2: "-1", 3: "0"}, {3: "-1"}, {3: "21"}]
+    for fields in impossible:
+        broken = body.split(",")
+        for k, v in fields.items():
+            broken[k] = v
+        with pytest.raises(ValueError, match="row 1 "):
+            read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
+    assert read_simulation_csv(header + "\n" + body + "\n")[0]["total_trials"] == 20
 
 
 def test_render_single_cell_structure():
-    cell = run_cell(
-        ExperimentConfig(bits=1, path_len=0, trials_per_experiment=100, num_experiments=1, oracle_kind="ideal")
+    [cell] = run_grid(
+        [ExperimentConfig(bits=1, path_len=0, trials_per_experiment=100, num_experiments=1, oracle_kind="ideal")]
     )
     rows = read_simulation_csv(ReportTable.from_simulation([cell]).to_csv())
     svg = render_figure(rows)
@@ -118,8 +129,8 @@ def test_render_single_cell_structure():
 
 
 def test_render_grid_structure():
-    report = _small_report()
-    rows = read_simulation_csv(ReportTable.from_simulation(report.cells).to_csv())
+    cells = _small_grid()
+    rows = read_simulation_csv(ReportTable.from_simulation(cells).to_csv())
     svg = render_figure(rows)
     assert svg.count('class="curve"') == 2  # one per distinct bit width
     assert svg.count('class="marker"') == 4
@@ -129,8 +140,8 @@ def test_render_grid_structure():
 
 def test_render_handles_zero_empirical():
     # a cell with zero matches must still plot (clamped to the axis floor)
-    cell = run_cell(
-        ExperimentConfig(bits=60, path_len=0, trials_per_experiment=10, num_experiments=1)
+    [cell] = run_grid(
+        [ExperimentConfig(bits=60, path_len=0, trials_per_experiment=10, num_experiments=1)]
     )
     assert cell.matches == 0
     rows = read_simulation_csv(ReportTable.from_simulation([cell]).to_csv())

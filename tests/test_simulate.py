@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merkle_falsify import simulate
-from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, hash_bytes
-from merkle_falsify.merkle import fold_path
+from merkle_falsify.hashing import IDEAL, SHA256, OracleState, node_fn
 from merkle_falsify.simulate import (
     ALPHABET,
     TRUNCATED,
     WIDE,
     ExperimentConfig,
-    _derive_oracle_seed,
+    _derive_seed,
     build_grid,
-    derive_cell_seed,
-    run_cell,
     run_experiment,
     run_grid,
 )
@@ -30,20 +27,25 @@ def test_alphabet():
     assert ALPHABET == ALPHABET.strip()
 
 
+def _seed(tag: str, cfg: ExperimentConfig, experiment_index: int) -> int:
+    # independent recompute of the documented seed text
+    text = f"{tag}:{cfg.master_seed}:{cfg.bits}:{cfg.path_len}:{experiment_index}"
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[-8:], "big")
+
+
 def test_derive_cell_seed_frozen():
-    assert derive_cell_seed(0, 2, 10, 0) == CELL_SEED_0_2_10_0
-    # independent recompute
-    manual = int.from_bytes(hashlib.sha256(b"seed:0:2:10:0").digest()[-8:], "big")
-    assert derive_cell_seed(0, 2, 10, 0) == manual
+    assert _derive_seed("seed", 0, 2, 10, 0) == CELL_SEED_0_2_10_0
+    cfg = ExperimentConfig(bits=2, path_len=10, master_seed=0)
+    assert _seed("seed", cfg, 0) == CELL_SEED_0_2_10_0
 
 
 def test_derive_cell_seed_sensitivity():
-    base = derive_cell_seed(0, 2, 10, 0)
-    assert derive_cell_seed(0, 2, 10, 1) != base
-    assert derive_cell_seed(1, 2, 10, 0) != base
-    assert derive_cell_seed(0, 3, 10, 0) != base
-    assert derive_cell_seed(0, 2, 11, 0) != base
-    assert _derive_oracle_seed(0, 2, 10, 0) != base
+    base = _derive_seed("seed", 0, 2, 10, 0)
+    assert _derive_seed("seed", 0, 2, 10, 1) != base
+    assert _derive_seed("seed", 1, 2, 10, 0) != base
+    assert _derive_seed("seed", 0, 3, 10, 0) != base
+    assert _derive_seed("seed", 0, 2, 11, 0) != base
+    assert _derive_seed("oracle", 0, 2, 10, 0) != base
 
 
 def test_config_validation():
@@ -82,22 +84,22 @@ def test_sibling_width():
 def test_run_experiment_deterministic():
     cfg = ExperimentConfig(bits=6, path_len=4, trials_per_experiment=300, num_experiments=2)
     assert run_experiment(cfg, 0) == run_experiment(cfg, 0)
-    with pytest.raises(ValueError):
-        run_experiment(cfg, 2)
+    # the index is part of the seed text: 1.0 or True would draw another stream
+    for bad in (2, -1, 1.0, True, False):
+        with pytest.raises(ValueError):
+            run_experiment(cfg, bad)
 
 
 def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int:
-    # independent re-implementation of the trial loop on top of the public
-    # Digest/fold_path API, repeating the documented draw order
+    # independent re-implementation of the trial loop on top of the hashing
+    # kernel: both chains folded to the root, repeating the documented seeds
+    # and draw order
     spec = cfg.hash_spec()
     oracle = None
     if cfg.oracle_kind == IDEAL:
-        oracle = OracleState(
-            _derive_oracle_seed(cfg.master_seed, cfg.bits, cfg.path_len, experiment_index)
-        )
-    rng = np.random.default_rng(
-        derive_cell_seed(cfg.master_seed, cfg.bits, cfg.path_len, experiment_index)
-    )
+        oracle = OracleState(_seed("oracle", cfg, experiment_index))
+    node = node_fn(spec, oracle)
+    rng = np.random.default_rng(_seed("seed", cfg, experiment_index))
     m, width, length = cfg.path_len, cfg.sibling_nbytes, cfg.data_length
     trials = cfg.trials_per_experiment
     blob = rng.bytes(trials * m * width) if m else b""
@@ -109,7 +111,6 @@ def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int
             if not np.array_equal(redraw, base[row]):
                 sub[row] = redraw
                 break
-    sib_bits = 8 * width if cfg.sibling_mode == WIDE else cfg.bits
     matches = 0
     for t in range(trials):
         offset = t * m * width
@@ -117,14 +118,13 @@ def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int
         for k in range(m):
             raw = blob[offset + k * width : offset + (k + 1) * width]
             if cfg.sibling_mode == TRUNCATED and cfg.bits % 8:
-                keep = raw[:-1] + bytes((raw[-1] & spec.last_byte_mask,))
-                sibs.append(Digest(keep, sib_bits))
-            else:
-                sibs.append(Digest(raw, sib_bits))
+                raw = raw[:-1] + bytes((raw[-1] & spec.last_byte_mask,))
+            sibs.append(raw)
         d1 = "".join(ALPHABET[i] for i in base[t]).encode()
         d2 = "".join(ALPHABET[i] for i in sub[t]).encode()
-        r1 = fold_path(hash_bytes(d1, spec, oracle), sibs, spec, oracle)
-        r2 = fold_path(hash_bytes(d2, spec, oracle), sibs, spec, oracle)
+        r1, r2 = node(d1), node(d2)
+        for sib in sibs:
+            r1, r2 = node(r1 + sib), node(r2 + sib)
         matches += r1 == r2
     return matches
 
@@ -196,7 +196,7 @@ def test_b1_m0_ideal_close_to_half():
         bits=1, path_len=0, trials_per_experiment=1000, num_experiments=1,
         oracle_kind=IDEAL, master_seed=42,
     )
-    cell = run_cell(cfg)
+    cell = run_grid([cfg])[0]
     assert abs(cell.empirical_p - 0.5) < 0.079
     # golden count under numpy's seeded PCG64; regenerate if the generator
     # or draw order ever changes
@@ -210,44 +210,38 @@ def test_resample_guard_single_char_data():
         bits=16, path_len=0, trials_per_experiment=20_000, num_experiments=1,
         data_length=1, master_seed=3,
     )
-    cell = run_cell(cfg)
+    cell = run_grid([cfg])[0]
     assert cell.matches < 100
 
 
-def test_run_cell_aggregates_experiments():
-    cfg = ExperimentConfig(bits=8, path_len=2, trials_per_experiment=200, num_experiments=3)
-    cell = run_cell(cfg)
-    assert cell.total_trials == 600
-    assert cell.matches == sum(run_experiment(cfg, k) for k in range(3))
-    assert cell.empirical_p == cell.matches / 600
-    expect_se = (cell.exact_p * (1 - cell.exact_p) / 600) ** 0.5
-    assert cell.std_error == pytest.approx(expect_se, rel=1e-12)
-    if cell.std_error:
-        assert cell.z_score == pytest.approx(
-            (cell.empirical_p - cell.exact_p) / cell.std_error, rel=1e-9
-        )
+def test_run_grid_aggregates_experiments():
+    # one cell per config, in config order, each the sum of its experiments
+    configs = build_grid([2, 8], [0, 2], trials_per_experiment=200, num_experiments=3)
+    cells = run_grid(configs)
+    assert [(c.config.bits, c.config.path_len) for c in cells] == [
+        (2, 0), (2, 2), (8, 0), (8, 2),
+    ]
+    for cell, cfg in zip(cells, configs):
+        assert cell.config == cfg
+        assert cell.total_trials == 600
+        assert cell.matches == sum(run_experiment(cfg, k) for k in range(3))
+        assert cell.empirical_p == cell.matches / 600
+        expect_se = (cell.exact_p * (1 - cell.exact_p) / 600) ** 0.5
+        assert cell.std_error == pytest.approx(expect_se, rel=1e-12)
+        if cell.std_error:
+            assert cell.z_score == pytest.approx(
+                (cell.empirical_p - cell.exact_p) / cell.std_error, rel=1e-9
+            )
 
 
 def test_zscore_zero_when_exact_saturates():
     # (2, 1000): exact rounds to 1 even at 64 digits, so the z rule kicks in
     cfg = ExperimentConfig(bits=2, path_len=1000, trials_per_experiment=2, num_experiments=1)
-    cell = run_cell(cfg)
+    cell = run_grid([cfg])[0]
     assert cell.exact_p == 1.0
     assert cell.std_error == 0.0
     assert cell.z_score == 0.0
     assert cell.matches == 2
-
-
-def test_run_grid_matches_run_cell():
-    configs = build_grid([2, 4], [0, 3], trials_per_experiment=100, num_experiments=2, master_seed=9)
-    report = run_grid(configs)
-    assert [ (c.config.bits, c.config.path_len) for c in report.cells ] == [
-        (2, 0), (2, 3), (4, 0), (4, 3),
-    ]
-    assert report.master_seed == 9
-    assert report.duration_seconds >= 0
-    for cell, cfg in zip(report.cells, configs):
-        assert cell.matches == run_cell(cfg).matches
 
 
 def test_run_grid_worker_invariance():
@@ -257,7 +251,7 @@ def test_run_grid_worker_invariance():
     )
     serial = run_grid(configs, workers=1)
     parallel = run_grid(configs, workers=3)
-    assert [c.matches for c in serial.cells] == [c.matches for c in parallel.cells]
+    assert [c.matches for c in serial] == [c.matches for c in parallel]
 
 
 def test_run_grid_pool_size_is_capped(monkeypatch):
@@ -281,10 +275,10 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     forty = build_grid([2, 3], [1], trials_per_experiment=3, num_experiments=20)
-    serial = [c.matches for c in run_grid(forty).cells]
+    serial = [c.matches for c in run_grid(forty)]
     three = build_grid([2], [1], trials_per_experiment=3, num_experiments=3)
 
-    assert [c.matches for c in run_grid(forty, workers=1000).cells] == serial
+    assert [c.matches for c in run_grid(forty, workers=1000)] == serial
     run_grid(three, workers=1000)
     run_grid(forty, workers=2)
     # (pool size, chunksize = tasks // (4 * pool size))
@@ -292,7 +286,7 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
 
     requested.clear()
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-    assert [c.matches for c in run_grid(forty, workers=1000).cells] == serial
+    assert [c.matches for c in run_grid(forty, workers=1000)] == serial
     assert requested == []  # one usable CPU runs in-process
 
 
@@ -301,6 +295,9 @@ def test_run_grid_validation():
         run_grid([])
     with pytest.raises(ValueError):
         run_grid(build_grid([2], [0]), workers=0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            run_grid(build_grid([2], [0]), workers=bad)
     with pytest.raises(ValueError):
         build_grid([], [1])
 
@@ -314,5 +311,5 @@ def test_truncated_mode_changes_draws():
     # both modes stay near the closed form at 8 bits, where path-element
     # granularity no longer matters
     for cfg in (wide, narrow):
-        cell = run_cell(cfg)
+        cell = run_grid([cfg])[0]
         assert abs(cell.empirical_p - cell.exact_p) < 0.03
