@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 
 from .probability import PathParams, exact_falsification_prob
 from .report import SIMULATION_HEADER
@@ -68,6 +69,20 @@ def read_simulation_csv(text: str) -> list[dict]:
             raise ValueError(
                 f"row {k + 1} has matches {row['matches']} outside "
                 f"0..{row['total_trials']}"
+            )
+        # SHA-256 is the widest hash a simulation runs.
+        if not 1 <= row["bits"] <= 256:
+            raise ValueError(f"row {k + 1} has bits {row['bits']} outside 1..256")
+        if row["path_len"] < 0:
+            raise ValueError(f"row {k + 1} has path_len {row['path_len']} < 0")
+        # The CSV writes matches / total_trials to 17 significant digits, and
+        # parsing that back costs at most one more float rounding: together
+        # under 2e-16 of the value.  The marker is plotted at empirical_p.
+        rate = Fraction(row["matches"], row["total_trials"])
+        if abs(Fraction(row["empirical_p"]) - rate) > rate * Fraction(2, 10**16):
+            raise ValueError(
+                f"row {k + 1} has empirical_p {raw[4]}, but matches / total_trials "
+                f"is {row['matches']}/{row['total_trials']}"
             )
         rows.append(row)
     if not rows:

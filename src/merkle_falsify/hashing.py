@@ -143,6 +143,19 @@ class OracleState:
         return _low64(_sha256(self._prefix + data).digest(), 24)[0]
 
 
+def _tail_table(rem: int) -> tuple[bytes, ...]:
+    """The kept last byte of a ``bits % 8 == rem`` digest, indexed by its raw value."""
+    mask = HashSpec(SHA256, rem).last_byte_mask
+    kept = bytes(v & mask for v in range(256))
+    # One-byte slices are the interpreter's shared single-byte objects, so
+    # the tables hold no bytes objects of their own.
+    return tuple(kept[v : v + 1] for v in range(256))
+
+
+# One table per width that does not fill its last byte, keyed by bits % 8.
+_TAILS = {rem: _tail_table(rem) for rem in range(1, 8)}
+
+
 def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
     """The hashing kernel: a ``bytes -> bytes`` function for ``spec``.
 
@@ -168,11 +181,13 @@ def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[byte
     sha = _sha256
     if spec.bits % 8 == 0:
         return lambda x: sha(x).digest()[:nb]
-    mask = spec.last_byte_mask
+    tails = _TAILS[spec.bits % 8]
+    if nb == 1:
+        return lambda x: tails[sha(x).digest()[0]]
     cut = nb - 1
 
     def node(x: bytes) -> bytes:
         d = sha(x).digest()
-        return d[:cut] + bytes((d[cut] & mask,))
+        return d[:cut] + tails[d[cut]]
 
     return node

@@ -10,10 +10,12 @@ The two chains are folded in lockstep, level by level, and a trial stops at
 the first level where they coincide.  Stopping there is exact, not an
 approximation: every later level hashes the same (node, sibling) input on
 both sides, so equal running digests stay equal up to the root.  Skipped
-queries cannot perturb anything either -- all random draws are taken up
-front, and an ideal-oracle value depends only on (oracle seed, input), not
-on which inputs were queried before.  A trial whose chains never meet still
-folds all m levels, so cells with small P cost what a full fold costs.
+queries cannot perturb anything either -- each trial's path bytes sit at a
+fixed offset of the experiment's random stream, so reading only the windows
+the folds consume yields the same bytes a full read would, and an
+ideal-oracle value depends only on (oracle seed, input), not on which
+inputs were queried before.  A trial whose chains never meet still folds
+all m levels, so cells with small P cost what a full fold costs.
 
 Every fold step is one call of the package's single hashing kernel,
 ``hashing.node_fn``, bound once per experiment; the simulator keeps no copy
@@ -33,11 +35,16 @@ Reproducibility: every experiment derives its own 64-bit seed from
 across runs, platforms, and worker counts.  Draws come from numpy's
 default PCG64 generator in a fixed order (path bytes, base data, substitute
 data, then per-row resamples); golden match counts must be regenerated if
-either the generator or the draw order changes.
+either the generator or the draw order changes.  The path bytes are the
+first trials * m * width bytes of the stream, byte o being byte o % 8
+(little-endian) of 64-bit output o // 8 -- the bytes ``Generator.bytes``
+would return -- and memory stays bounded by one window of them whatever
+trials and m are.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import string
@@ -59,6 +66,11 @@ TRUNCATED = "truncated"
 
 # Width of a wide path element; matches the full SHA-256 digest.
 WIDE_SIBLING_BYTES = 32
+
+# Path bytes are read from the stream in windows of this many 64-bit
+# outputs (4 KiB), enough for 128 wide levels per refill.
+_WINDOW_WORDS = 512
+_WINDOW_BYTES = 8 * _WINDOW_WORDS
 
 
 @dataclass(frozen=True)
@@ -143,12 +155,15 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     width = config.sibling_nbytes
 
     # Fixed draw order: path bytes, base data, substitute data, resamples.
-    blob = rng.bytes(trials * m * width) if m else b""
-    if config.sibling_mode == TRUNCATED:
-        # b-bit path elements: zero the pad bits of every element's last byte.
-        elements = np.frombuffer(blob, dtype=np.uint8).reshape(-1, width).copy()
-        elements[:, -1] &= spec.last_byte_mask
-        blob = elements.tobytes()
+    # The path bytes are read later, from a copy of the generator, and only
+    # where a fold consumes them; the main generator skips past them.  Like
+    # Generator.bytes(n), which draws ceil(n / 4) 32-bit halves, it ends with
+    # the high half of the last output buffered when that count is odd.
+    paths = copy.deepcopy(rng.bit_generator)
+    n32 = (trials * m * width + 3) // 4
+    rng.bit_generator.advance(n32 // 2)
+    if n32 % 2:
+        rng.bytes(4)
     base_idx = rng.integers(0, len(ALPHABET), size=(trials, length), dtype=np.uint8)
     sub_idx = rng.integers(0, len(ALPHABET), size=(trials, length), dtype=np.uint8)
     for row in np.nonzero((base_idx == sub_idx).all(axis=1))[0]:
@@ -161,8 +176,15 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     base_data = _ALPHABET_CODES[base_idx]
     sub_data = _ALPHABET_CODES[sub_idx]
 
+    # b-bit path elements in truncated mode: every element's last byte loses
+    # its pad bits.
+    mask = spec.last_byte_mask if config.sibling_mode == TRUNCATED else 0xFF
+
     # Lockstep fold; the first coincidence decides the trial (see the module
-    # docstring for why stopping there is exact).
+    # docstring for why stopping there is exact).  ``window`` holds stream
+    # bytes lo..hi, and ``paths`` sits at output hi // 8.
+    window = b""
+    lo = hi = 0
     matches = 0
     stride = m * width
     for t in range(trials):
@@ -171,12 +193,36 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
         start = t * stride
         end = start + stride
         while genuine != forged and start < end:
-            s = blob[start : start + width]
-            genuine = node(genuine + s)
-            forged = node(forged + s)
-            start += width
+            if start + width > hi:
+                lo = start - start % 8
+                paths.advance(lo // 8 - hi // 8)  # backwards is exact too
+                window = _read_window(paths, lo, width, mask)
+                hi = lo + _WINDOW_BYTES
+            # Fold the levels whose elements lie wholly in the window.  The
+            # inner loop makes no refill test, so a level costs no more
+            # than with the whole path in memory.
+            i = start - lo
+            stop = min(end, hi - width + 1) - lo
+            while genuine != forged and i < stop:
+                s = window[i : i + width]
+                genuine = node(genuine + s)
+                forged = node(forged + s)
+                i += width
+            start = lo + i
         matches += genuine == forged
     return matches
+
+
+def _read_window(paths: np.random.BitGenerator, lo: int, width: int, mask: int) -> bytes:
+    """The next _WINDOW_BYTES stream bytes, which start at stream byte ``lo``.
+
+    ``mask`` is applied to the last byte of every ``width``-byte path element
+    in the window; elements start at stream byte 0.
+    """
+    raw = paths.random_raw(_WINDOW_WORDS).astype("<u8", copy=False).view(np.uint8)
+    if mask != 0xFF:
+        raw[(width - 1 - lo) % width :: width] &= mask
+    return raw.tobytes()
 
 
 def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:

@@ -218,6 +218,9 @@ def test_figure_malformed_csv(tmp_path, capsys):
         "2,1,100,101,1.01,0.4375,0.0496,11.4,0",
         "2,1,100,-1,-0.01,0.4375,0.0496,-9,0",
         "2,1,0,0,0,0.4375,0,0,0",
+        "1100,1,100,0,0,0,0,0,0",
+        "2,-1,100,40,0.4,0.4375,0.0496,-0.7,0",
+        "2,1,100,1,0.9,0.4375,0.0496,9.3,0",
     ):
         bad.write_text(f"{header}\n{row}\n")
         svg = tmp_path / "bad.svg"

@@ -93,6 +93,18 @@ def test_truncation_prefix_consistency(data, b1, b2):
     assert to_int(narrow) == to_int(wide) >> (b2 - b1)
 
 
+@given(st.binary(max_size=96))
+@settings(max_examples=40, deadline=None)
+def test_sha256_kernel_every_width(data):
+    # reference truncation: the top b bits of the digest, left-aligned in
+    # ceil(b / 8) bytes with the pad bits of the last byte zero
+    value = int.from_bytes(hashlib.sha256(data).digest(), "big")
+    for b in range(1, 257):
+        nb = (b + 7) // 8
+        want = (value >> (256 - b) << (8 * nb - b)).to_bytes(nb, "big")
+        assert node_fn(HashSpec(SHA256, b))(data) == want, b
+
+
 def test_oracle_repeat_query_is_deterministic():
     oracle = OracleState(3)
     spec = HashSpec(IDEAL, 16)

@@ -103,9 +103,13 @@ def test_read_simulation_csv_rejects_malformed():
     with pytest.raises(ValueError):
         read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
     # parseable but impossible rows: non-finite floats, no trials, matches
-    # outside 0..total_trials (columns: 2 total_trials, 3 matches, 4-7 floats)
+    # outside 0..total_trials, bits outside 1..256, negative path_len, and an
+    # empirical_p that is not matches / total_trials (columns: 0 bits,
+    # 1 path_len, 2 total_trials, 3 matches, 4-7 floats)
     impossible = [{k: v} for k in (4, 5, 6, 7) for v in ("nan", "inf", "-inf")]
     impossible += [{2: "0", 3: "0"}, {2: "-1", 3: "0"}, {3: "-1"}, {3: "21"}]
+    impossible += [{0: "0"}, {0: "257"}, {0: "1100"}, {1: "-1"}]
+    impossible += [{3: "1", 4: "0.9"}, {3: "1", 4: "0.050000000000001"}, {3: "0", 4: "1e-300"}]
     for fields in impossible:
         broken = body.split(",")
         for k, v in fields.items():

@@ -90,19 +90,17 @@ def test_run_experiment_deterministic():
             run_experiment(cfg, bad)
 
 
-def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int:
-    # independent re-implementation of the trial loop on top of the hashing
-    # kernel: both chains folded to the root, repeating the documented seeds
-    # and draw order
+def _one_shot_draws(cfg: ExperimentConfig, experiment_index: int):
+    # the documented draws, all taken up front: path bytes (pad bits cleared
+    # in truncated mode), base data, substitute data, per-row resamples
     spec = cfg.hash_spec()
-    oracle = None
-    if cfg.oracle_kind == IDEAL:
-        oracle = OracleState(_seed("oracle", cfg, experiment_index))
-    node = node_fn(spec, oracle)
     rng = np.random.default_rng(_seed("seed", cfg, experiment_index))
     m, width, length = cfg.path_len, cfg.sibling_nbytes, cfg.data_length
     trials = cfg.trials_per_experiment
     blob = rng.bytes(trials * m * width) if m else b""
+    if cfg.sibling_mode == TRUNCATED and cfg.bits % 8:
+        elements = [blob[k : k + width] for k in range(0, len(blob), width)]
+        blob = b"".join(e[:-1] + bytes((e[-1] & spec.last_byte_mask,)) for e in elements)
     base = rng.integers(0, 62, size=(trials, length), dtype=np.uint8)
     sub = rng.integers(0, 62, size=(trials, length), dtype=np.uint8)
     for row in np.nonzero((base == sub).all(axis=1))[0]:
@@ -111,22 +109,71 @@ def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int
             if not np.array_equal(redraw, base[row]):
                 sub[row] = redraw
                 break
+    leaves = [
+        ("".join(ALPHABET[i] for i in base[t]).encode(), "".join(ALPHABET[i] for i in sub[t]).encode())
+        for t in range(trials)
+    ]
+    return blob, leaves
+
+
+def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int:
+    # independent re-implementation of the trial loop on top of the hashing
+    # kernel: both chains folded to the root, repeating the documented seeds
+    # and draw order
+    oracle = None
+    if cfg.oracle_kind == IDEAL:
+        oracle = OracleState(_seed("oracle", cfg, experiment_index))
+    node = node_fn(cfg.hash_spec(), oracle)
+    blob, leaves = _one_shot_draws(cfg, experiment_index)
+    m, width = cfg.path_len, cfg.sibling_nbytes
     matches = 0
-    for t in range(trials):
+    for t, (d1, d2) in enumerate(leaves):
         offset = t * m * width
-        sibs = []
-        for k in range(m):
-            raw = blob[offset + k * width : offset + (k + 1) * width]
-            if cfg.sibling_mode == TRUNCATED and cfg.bits % 8:
-                raw = raw[:-1] + bytes((raw[-1] & spec.last_byte_mask,))
-            sibs.append(raw)
-        d1 = "".join(ALPHABET[i] for i in base[t]).encode()
-        d2 = "".join(ALPHABET[i] for i in sub[t]).encode()
         r1, r2 = node(d1), node(d2)
-        for sib in sibs:
+        for k in range(m):
+            sib = blob[offset + k * width : offset + (k + 1) * width]
             r1, r2 = node(r1 + sib), node(r2 + sib)
         matches += r1 == r2
     return matches
+
+
+def _check_kernel_calls(cfg: ExperimentConfig, experiment_index: int) -> None:
+    # Every kernel call run_experiment makes, in order, against the one-shot
+    # draws: two leaf hashes per trial, then one fold pair per level until
+    # the chains meet or reach the root, each pair sharing the path element
+    # at that trial and level.
+    calls = []
+
+    def recording_node_fn(spec, oracle=None):
+        node = node_fn(spec, oracle)
+
+        def recorded(x):
+            y = node(x)
+            calls.append((x, y))
+            return y
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "node_fn", recording_node_fn)
+        matches = run_experiment(cfg, experiment_index)
+    blob, leaves = _one_shot_draws(cfg, experiment_index)
+    m, width = cfg.path_len, cfg.sibling_nbytes
+    pairs = iter(zip(calls[::2], calls[1::2]))
+    met = 0
+    for t, leaf_pair in enumerate(leaves):
+        (x1, genuine), (x2, forged) = next(pairs)
+        assert (x1, x2) == leaf_pair
+        for k in range(m):
+            if genuine == forged:
+                break
+            (x1, g), (x2, f) = next(pairs)
+            sib = blob[(t * m + k) * width : (t * m + k + 1) * width]
+            assert (x1, x2) == (genuine + sib, forged + sib), (t, k)
+            genuine, forged = g, f
+        met += genuine == forged
+    assert len(calls) % 2 == 0 and next(pairs, None) is None
+    assert matches == met
 
 
 def test_run_experiment_matches_public_fold_sha256():
@@ -173,10 +220,75 @@ def test_lockstep_fold_matches_full_fold(oracle_kind, bits, path_len, sibling_mo
     assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
 
 
+@pytest.mark.parametrize(
+    "oracle_kind, sibling_mode, bits, path_len",
+    [
+        (SHA256, WIDE, 16, 300),
+        (IDEAL, WIDE, 20, 300),
+        (SHA256, TRUNCATED, 12, 2100),  # 2-byte elements
+        (SHA256, TRUNCATED, 20, 1400),  # 3-byte elements straddle window edges
+        (IDEAL, TRUNCATED, 44, 800),  # 6-byte elements
+    ],
+)
+def test_path_windows_refill_mid_trial(oracle_kind, sibling_mode, bits, path_len):
+    # Each trial's path outgrows one read window, and at these widths the
+    # chains almost never meet, so every trial reads across window edges.
+    cfg = ExperimentConfig(
+        bits=bits, path_len=path_len, trials_per_experiment=8, num_experiments=1,
+        oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=bits * path_len,
+    )
+    assert path_len * cfg.sibling_nbytes > simulate._WINDOW_BYTES
+    assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
+    _check_kernel_calls(cfg, 0)
+
+
+@given(
+    oracle_kind=st.sampled_from([SHA256, IDEAL]),
+    bits=st.integers(min_value=1, max_value=64),
+    path_len=st.integers(min_value=0, max_value=600),
+    sibling_mode=st.sampled_from([WIDE, TRUNCATED]),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_path_windows_match_one_shot_bytes(oracle_kind, bits, path_len, sibling_mode, seed):
+    # The path element behind every fold equals the same bytes of a one-shot
+    # Generator.bytes draw, so a numpy change to that draw fails here.
+    cfg = ExperimentConfig(
+        bits=bits, path_len=path_len, trials_per_experiment=6, num_experiments=1,
+        oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=seed,
+    )
+    _check_kernel_calls(cfg, 0)
+
+
+@pytest.mark.parametrize("sibling_mode, trials", [(WIDE, 100), (TRUNCATED, 3000)])
+def test_experiment_memory_is_independent_of_path_len(sibling_mode, trials):
+    # Path bytes are read in fixed windows, so an experiment's peak does not
+    # grow with T * m * width.  At m = 2000 these sizes hold 6 MB of path
+    # bytes; at bits=2 the chains meet after a few levels, so the runs are
+    # short.
+    def peak(m: int) -> int:
+        cfg = ExperimentConfig(
+            bits=2, path_len=m, trials_per_experiment=trials, num_experiments=1,
+            sibling_mode=sibling_mode, master_seed=11,
+        )
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg, 0)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(2000)  # warm-up
+        small, large = peak(200), peak(2000)
+    finally:
+        tracemalloc.stop()
+    assert abs(large - small) < 1 << 20, (small, large)
+
+
 def test_ideal_experiment_memory_is_bounded():
     # The oracle keeps no per-query state, so an experiment's peak allocation
-    # follows its T * m * 32 bytes of drawn wide siblings (plus transient
-    # copies), not the 2 * T * (m + 1) oracle queries its folds make.
+    # stays below its T * m * 32 bytes of wide siblings (plus transient
+    # copies), whatever the 2 * T * (m + 1) oracle queries its folds make.
     T, m = 200, 200
     cfg = ExperimentConfig(
         bits=14, path_len=m, trials_per_experiment=T, num_experiments=1,
