@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .probability import PathParams, exact_falsification_prob
 from .report import SIMULATION_HEADER
+from .simulate import cell_reference
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5cb8", "#c07d20", "#4ca8a8")
 
@@ -84,6 +85,20 @@ def read_simulation_csv(text: str) -> list[dict]:
                 f"row {k + 1} has empirical_p {raw[4]}, but matches / total_trials "
                 f"is {row['matches']}/{row['total_trials']}"
             )
+        # The 5-sigma band is drawn around exact_p, so it and std_error must
+        # be what the emitter computes for this row; 17 digits parse back to
+        # the same float, and the tolerance only allows a last-bit difference
+        # between mpmath builds.
+        exact, std_error = cell_reference(row["bits"], row["path_len"], row["total_trials"])
+        for col, want, formula in (
+            (5, exact, f"the closed form at bits {row['bits']}, path_len {row['path_len']}"),
+            (6, std_error, f"sqrt(P(1 - P) / {row['total_trials']}) there"),
+        ):
+            if not math.isclose(row[header[col]], float(want), rel_tol=1e-15):
+                raise ValueError(
+                    f"row {k + 1} has {header[col]} {raw[col]}, but {formula} "
+                    f"is {float(want)!r}"
+                )
         rows.append(row)
     if not rows:
         raise ValueError("CSV has no data rows")

@@ -40,6 +40,13 @@ first trials * m * width bytes of the stream, byte o being byte o % 8
 (little-endian) of 64-bit output o // 8 -- the bytes ``Generator.bytes``
 would return -- and memory stays bounded by one window of them whatever
 trials and m are.
+
+Imports: the package imports this module, but the probability, table, tree
+and figure commands never simulate, so it loads nothing heavy at import.
+``run_experiment`` imports numpy itself, and ``run_grid`` imports
+``concurrent.futures.ProcessPoolExecutor`` only when it starts a pool.
+Before it starts one, ``run_grid`` imports numpy, so that workers started by
+fork inherit the loaded module instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -48,18 +55,20 @@ import copy
 import hashlib
 import os
 import string
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 from mpmath import mpf
 
 from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ALPHABET = string.ascii_letters + string.digits
-_ALPHABET_CODES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
+_ALPHABET_BYTES = ALPHABET.encode("ascii")
 
 WIDE = "wide"
 TRUNCATED = "truncated"
@@ -137,6 +146,8 @@ def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: in
 
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
+    import numpy as np
+
     # The index is part of the seed text, so 1.0 or True would silently
     # draw a different stream than 1.
     if type(experiment_index) is not int or not 0 <= experiment_index < config.num_experiments:
@@ -173,8 +184,9 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
                 sub_idx[row] = redraw
                 break
 
-    base_data = _ALPHABET_CODES[base_idx]
-    sub_data = _ALPHABET_CODES[sub_idx]
+    codes = np.frombuffer(_ALPHABET_BYTES, dtype=np.uint8)
+    base_data = codes[base_idx]
+    sub_data = codes[sub_idx]
 
     # b-bit path elements in truncated mode: every element's last byte loses
     # its pad bits.
@@ -219,18 +231,25 @@ def _read_window(paths: np.random.BitGenerator, lo: int, width: int, mask: int) 
     ``mask`` is applied to the last byte of every ``width``-byte path element
     in the window; elements start at stream byte 0.
     """
-    raw = paths.random_raw(_WINDOW_WORDS).astype("<u8", copy=False).view(np.uint8)
+    raw = paths.random_raw(_WINDOW_WORDS).astype("<u8", copy=False).view("u1")
     if mask != 0xFF:
         raw[(width - 1 - lo) % width :: width] &= mask
     return raw.tobytes()
 
 
+def cell_reference(bits: int, path_len: int, total_trials: int) -> tuple[mpf, mpf]:
+    """The closed-form P at (bits, path_len), and sqrt(P(1 - P) / total_trials),
+    the standard error of a match rate over total_trials trials at that P."""
+    exact = exact_falsification_prob(PathParams(bits, path_len)).value
+    with mpmath.workdps(PRECISION_DPS):
+        return exact, mpmath.sqrt(exact * (1 - exact) / total_trials)
+
+
 def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:
     total = config.total_trials
-    exact = exact_falsification_prob(PathParams(config.bits, config.path_len)).value
+    exact, std_error = cell_reference(config.bits, config.path_len, total)
     with mpmath.workdps(PRECISION_DPS):
         empirical = mpf(matches) / total
-        std_error = mpmath.sqrt(exact * (1 - exact) / total)
         z = (empirical - exact) / std_error if std_error != 0 else mpf(0)
     return CellResult(
         config=config,
@@ -267,6 +286,11 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     if pool_size == 1:
         counts = [run_experiment(config, k) for config, k in tasks]
     else:
+        # numpy first, so that forked workers inherit it and none imports it
+        # again (see the module docstring).
+        import numpy  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             chunk = max(1, len(tasks) // (4 * pool_size))
             counts = list(pool.map(_run_task, tasks, chunksize=chunk))

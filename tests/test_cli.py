@@ -221,12 +221,22 @@ def test_figure_malformed_csv(tmp_path, capsys):
         "1100,1,100,0,0,0,0,0,0",
         "2,-1,100,40,0.4,0.4375,0.0496,-0.7,0",
         "2,1,100,1,0.9,0.4375,0.0496,9.3,0",
+        # exact_p not the closed form (0.4375), std_error not
+        # sqrt(p(1 - p) / 100) (0.049607837082461075)
+        "2,1,100,44,0.44,0.9,0.0496,-0.7,0",
+        "2,1,100,44,0.44,0.9,0.049607837082461075,-0.7,0",
+        "2,1,100,44,0.44,0.4375,0.0496,0.05,0",
+        "2,1,100,44,0.44,0.4375,0.5,0.005,0",
     ):
         bad.write_text(f"{header}\n{row}\n")
         svg = tmp_path / "bad.svg"
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
+    # the same row with both values as the emitter writes them draws
+    bad.write_text(f"{header}\n2,1,100,44,0.44,0.4375,0.049607837082461075,0.05,0\n")
+    assert main(["figure", str(bad), "--output", str(svg)]) == 0
+    assert svg.read_text().count('class="band"') == 1
     capsys.readouterr()
 
 

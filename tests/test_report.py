@@ -103,13 +103,17 @@ def test_read_simulation_csv_rejects_malformed():
     with pytest.raises(ValueError):
         read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
     # parseable but impossible rows: non-finite floats, no trials, matches
-    # outside 0..total_trials, bits outside 1..256, negative path_len, and an
-    # empirical_p that is not matches / total_trials (columns: 0 bits,
-    # 1 path_len, 2 total_trials, 3 matches, 4-7 floats)
+    # outside 0..total_trials, bits outside 1..256, negative path_len, an
+    # empirical_p that is not matches / total_trials, an exact_p that is not
+    # the closed form at (bits, path_len), and a std_error that is not
+    # sqrt(p(1 - p) / total_trials) for that p (columns: 0 bits, 1 path_len,
+    # 2 total_trials, 3 matches, 4-7 floats); at b=2, m=0, T=20, p = 0.25
     impossible = [{k: v} for k in (4, 5, 6, 7) for v in ("nan", "inf", "-inf")]
     impossible += [{2: "0", 3: "0"}, {2: "-1", 3: "0"}, {3: "-1"}, {3: "21"}]
     impossible += [{0: "0"}, {0: "257"}, {0: "1100"}, {1: "-1"}]
     impossible += [{3: "1", 4: "0.9"}, {3: "1", 4: "0.050000000000001"}, {3: "0", 4: "1e-300"}]
+    impossible += [{5: "0.9"}, {5: "0.25000000001"}, {5: "0"}, {1: "1"}, {0: "3"}]
+    impossible += [{6: "0.0968"}, {6: "0"}, {6: "0.09682458366"}, {2: "40", 3: "0", 4: "0"}]
     for fields in impossible:
         broken = body.split(",")
         for k, v in fields.items():
@@ -117,6 +121,7 @@ def test_read_simulation_csv_rejects_malformed():
         with pytest.raises(ValueError, match="row 1 "):
             read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
     assert read_simulation_csv(header + "\n" + body + "\n")[0]["total_trials"] == 20
+    assert body.split(",")[5:7] == ["0.25", "0.096824583655185426"]
 
 
 def test_render_single_cell_structure():

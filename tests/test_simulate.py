@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import tracemalloc
 
@@ -384,7 +385,8 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
             requested.append((self.max_workers, chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    # run_grid imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     forty = build_grid([2, 3], [1], trials_per_experiment=3, num_experiments=20)
     serial = [c.matches for c in run_grid(forty)]
