@@ -28,10 +28,9 @@ from .probability import (
     exact_falsification_prob,
 )
 from .report import ReportTable, format_sig
-from .simulate import TRUNCATED, WIDE, build_grid, run_grid
+from .simulate import TRUNCATED, WIDE, Z_LIMIT, build_grid, run_grid
 
 SEED_ENV_VAR = "MERKLE_FALSIFY_SEED"
-Z_LIMIT = 5.0
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from fractions import Fraction
 
 from .probability import PathParams, exact_falsification_prob
-from .report import SIMULATION_HEADER
-from .simulate import cell_reference
+from .report import SIMULATION_HEADER, simulation_row
+from .simulate import Z_LIMIT, cell_statistics
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5cb8", "#c07d20", "#4ca8a8")
 
@@ -27,11 +26,17 @@ MARGIN_RIGHT = 110
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 50
 
-_FLOAT_FIELDS = ("empirical_p", "exact_p", "std_error", "z_score")
-
 
 def read_simulation_csv(text: str) -> list[dict]:
-    """Parse rows written by the simulation CSV emitter; malformed input raises."""
+    """Parse a simulation CSV, accepting only rows that ``simulate`` writes.
+
+    The integer columns are parsed and range-checked: bits in 1..256 (SHA-256
+    is the widest hash a simulation runs), path_len >= 0, total_trials >= 1,
+    matches in 0..total_trials and seed in 0..2^64 - 1.  Every field must then
+    equal, as text, what ``report.simulation_row`` writes for those integers
+    and their ``simulate.cell_statistics``.  Anything else raises ValueError
+    naming the row.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = tuple(next(reader))
@@ -45,61 +50,34 @@ def read_simulation_csv(text: str) -> list[dict]:
     for k, raw in enumerate(reader):
         if not raw:
             continue
+        n = k + 1
         if len(raw) != len(header):
-            raise ValueError(f"row {k + 1} has {len(raw)} fields, want {len(header)}")
+            raise ValueError(f"row {n} has {len(raw)} fields, want {len(header)}")
         try:
-            row = {
-                "bits": int(raw[0]),
-                "path_len": int(raw[1]),
-                "total_trials": int(raw[2]),
-                "matches": int(raw[3]),
-                "empirical_p": float(raw[4]),
-                "exact_p": float(raw[5]),
-                "std_error": float(raw[6]),
-                "z_score": float(raw[7]),
-                "seed": int(raw[8]),
-            }
+            bits, path_len, total_trials, matches, seed = (
+                int(raw[i]) for i in (0, 1, 2, 3, 8)
+            )
         except ValueError as exc:
-            raise ValueError(f"row {k + 1} is not numeric: {exc}") from exc
-        # float() accepts "nan" and "inf", which would plot as nan coordinates.
-        if not all(math.isfinite(row[key]) for key in _FLOAT_FIELDS):
-            raise ValueError(f"row {k + 1} has a non-finite value")
-        if row["total_trials"] < 1:
-            raise ValueError(f"row {k + 1} has total_trials {row['total_trials']} < 1")
-        if not 0 <= row["matches"] <= row["total_trials"]:
-            raise ValueError(
-                f"row {k + 1} has matches {row['matches']} outside "
-                f"0..{row['total_trials']}"
-            )
-        # SHA-256 is the widest hash a simulation runs.
-        if not 1 <= row["bits"] <= 256:
-            raise ValueError(f"row {k + 1} has bits {row['bits']} outside 1..256")
-        if row["path_len"] < 0:
-            raise ValueError(f"row {k + 1} has path_len {row['path_len']} < 0")
-        # The CSV writes matches / total_trials to 17 significant digits, and
-        # parsing that back costs at most one more float rounding: together
-        # under 2e-16 of the value.  The marker is plotted at empirical_p.
-        rate = Fraction(row["matches"], row["total_trials"])
-        if abs(Fraction(row["empirical_p"]) - rate) > rate * Fraction(2, 10**16):
-            raise ValueError(
-                f"row {k + 1} has empirical_p {raw[4]}, but matches / total_trials "
-                f"is {row['matches']}/{row['total_trials']}"
-            )
-        # The 5-sigma band is drawn around exact_p, so it and std_error must
-        # be what the emitter computes for this row; 17 digits parse back to
-        # the same float, and the tolerance only allows a last-bit difference
-        # between mpmath builds.
-        exact, std_error = cell_reference(row["bits"], row["path_len"], row["total_trials"])
-        for col, want, formula in (
-            (5, exact, f"the closed form at bits {row['bits']}, path_len {row['path_len']}"),
-            (6, std_error, f"sqrt(P(1 - P) / {row['total_trials']}) there"),
-        ):
-            if not math.isclose(row[header[col]], float(want), rel_tol=1e-15):
+            raise ValueError(f"row {n} is not numeric: {exc}") from exc
+        if total_trials < 1:
+            raise ValueError(f"row {n} has total_trials {total_trials} < 1")
+        if not 0 <= matches <= total_trials:
+            raise ValueError(f"row {n} has matches {matches} outside 0..{total_trials}")
+        if not 1 <= bits <= 256:
+            raise ValueError(f"row {n} has bits {bits} outside 1..256")
+        if path_len < 0:
+            raise ValueError(f"row {n} has path_len {path_len} < 0")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"row {n} has seed {seed} outside 0..2^64 - 1")
+        stats = cell_statistics(bits, path_len, total_trials, matches)
+        want = simulation_row(bits, path_len, total_trials, matches, *stats, seed)
+        for name, got, written in zip(header, raw, want):
+            if got != written:
                 raise ValueError(
-                    f"row {k + 1} has {header[col]} {raw[col]}, but {formula} "
-                    f"is {float(want)!r}"
+                    f"row {n} has {name} {got!r}, but simulate writes {written!r} for this row"
                 )
-        rows.append(row)
+        values = (bits, path_len, total_trials, matches, float(raw[4]), *stats, seed)
+        rows.append(dict(zip(header, values)))
     if not rows:
         raise ValueError("CSV has no data rows")
     return rows
@@ -213,8 +191,8 @@ def render_figure(rows: list[dict]) -> str:
         )
         for cell in series[bits]:
             x = sx(cell["path_len"])
-            hi = cell["exact_p"] + 5 * cell["std_error"]
-            lo = max(cell["exact_p"] - 5 * cell["std_error"], y_floor)
+            hi = cell["exact_p"] + Z_LIMIT * cell["std_error"]
+            lo = max(cell["exact_p"] - Z_LIMIT * cell["std_error"], y_floor)
             out.append(
                 f'<line class="band" x1="{x:.1f}" y1="{sy(lo):.1f}" '
                 f'x2="{x:.1f}" y2="{sy(hi):.1f}" stroke="{color}" '

@@ -18,6 +18,7 @@ The approximation is reported raw: it exceeds 1 for small ``b`` and large
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,12 +144,21 @@ def approximation_error(params: PathParams) -> FalsificationEstimate:
     return FalsificationEstimate(params, exact, approx, diff)
 
 
+def validate_grid(bits_list, path_lens) -> None:
+    """Reject a grid of cells with an empty axis or an axis that repeats a value."""
+    if not bits_list or not path_lens:
+        raise ValueError("bits_list and path_lens must be non-empty")
+    for name, values in (("bits", bits_list), ("path_len", path_lens)):
+        value, count = Counter(values).most_common(1)[0]
+        if count > 1:
+            raise ValueError(f"{name} {value} appears more than once")
+
+
 def diff_table(
     bits_list=DEFAULT_BITS, path_lens=DEFAULT_PATH_LENS
 ) -> list[FalsificationEstimate]:
     """approximation_error over bits_list x path_lens, row-major."""
-    if not bits_list or not path_lens:
-        raise ValueError("bits_list and path_lens must be non-empty")
+    validate_grid(bits_list, path_lens)
     return [
         approximation_error(PathParams(b, m)) for b in bits_list for m in path_lens
     ]

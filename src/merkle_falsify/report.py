@@ -36,6 +36,19 @@ def format_sig(x, digits: int = SIG_DIGITS) -> str:
         return mpmath.nstr(x, digits, strip_zeros=True)
 
 
+def simulation_row(
+    bits, path_len, total_trials, matches, exact_p, std_error, z_score, seed
+) -> tuple[str, ...]:
+    """The SIMULATION_HEADER fields of one cell, as the CSV holds them."""
+    return (
+        *map(str, (bits, path_len, total_trials, matches)),
+        # matches/total is exact; format the rational, not its float
+        format_sig(Fraction(matches, total_trials)),
+        *(format_sig(x) for x in (exact_p, std_error, z_score)),
+        str(seed),
+    )
+
+
 @dataclass(frozen=True)
 class ReportTable:
     """Formatted rows ready for CSV or markdown; header is part of the contract."""
@@ -62,17 +75,9 @@ class ReportTable:
     def from_simulation(cls, cells) -> "ReportTable":
         ordered = sorted(cells, key=lambda c: (c.config.bits, c.config.path_len))
         rows = tuple(
-            (
-                str(c.config.bits),
-                str(c.config.path_len),
-                str(c.total_trials),
-                str(c.matches),
-                # matches/total is exact; format the rational, not its float
-                format_sig(Fraction(c.matches, c.total_trials)),
-                format_sig(c.exact_p),
-                format_sig(c.std_error),
-                format_sig(c.z_score),
-                str(c.config.master_seed),
+            simulation_row(
+                c.config.bits, c.config.path_len, c.total_trials, c.matches,
+                c.exact_p, c.std_error, c.z_score, c.config.master_seed,
             )
             for c in ordered
         )

@@ -62,7 +62,7 @@ import mpmath
 from mpmath import mpf
 
 from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
-from .probability import PRECISION_DPS, PathParams, exact_falsification_prob
+from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -237,29 +237,27 @@ def _read_window(paths: np.random.BitGenerator, lo: int, width: int, mask: int) 
     return raw.tobytes()
 
 
-def cell_reference(bits: int, path_len: int, total_trials: int) -> tuple[mpf, mpf]:
-    """The closed-form P at (bits, path_len), and sqrt(P(1 - P) / total_trials),
-    the standard error of a match rate over total_trials trials at that P."""
+# A cell passes when |z_score| is at most this.
+Z_LIMIT = 5.0
+
+
+def cell_statistics(
+    bits: int, path_len: int, total_trials: int, matches: int
+) -> tuple[float, float, float]:
+    """(exact_p, std_error, z_score): the closed form P at (bits, path_len),
+    sqrt(P(1 - P) / total_trials), and (matches / total_trials - P) / std_error
+    (0 where std_error is 0)."""
     exact = exact_falsification_prob(PathParams(bits, path_len)).value
     with mpmath.workdps(PRECISION_DPS):
-        return exact, mpmath.sqrt(exact * (1 - exact) / total_trials)
+        std_error = mpmath.sqrt(exact * (1 - exact) / total_trials)
+        z = (mpf(matches) / total_trials - exact) / std_error if std_error != 0 else mpf(0)
+    return float(exact), float(std_error), float(z)
 
 
 def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:
     total = config.total_trials
-    exact, std_error = cell_reference(config.bits, config.path_len, total)
-    with mpmath.workdps(PRECISION_DPS):
-        empirical = mpf(matches) / total
-        z = (empirical - exact) / std_error if std_error != 0 else mpf(0)
-    return CellResult(
-        config=config,
-        matches=matches,
-        total_trials=total,
-        empirical_p=matches / total,
-        exact_p=float(exact),
-        std_error=float(std_error),
-        z_score=float(z),
-    )
+    stats = cell_statistics(config.bits, config.path_len, total, matches)
+    return CellResult(config, matches, total, matches / total, *stats)
 
 
 def _run_task(task: tuple[ExperimentConfig, int]) -> int:
@@ -309,8 +307,7 @@ def build_grid(
     **common,
 ) -> list[ExperimentConfig]:
     """Configs for bits_list x path_lens, row-major, sharing common settings."""
-    if not bits_list or not path_lens:
-        raise ValueError("bits_list and path_lens must be non-empty")
+    validate_grid(bits_list, path_lens)
     return [
         ExperimentConfig(bits=b, path_len=m, **common)
         for b in bits_list

@@ -59,6 +59,18 @@ def test_table_bad_lists(capsys):
     assert main(["table", "--bits", "2,zz"]) == 2
     assert main(["table", "--bits", ""]) == 2
     capsys.readouterr()
+    assert main(["table", "--bits", "2,2"]) == 2
+    assert "bits 2 appears more than once" in capsys.readouterr().err
+
+
+def test_simulate_repeated_grid_values(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    common = ["--trials", "10", "--experiments", "1", "--output", str(out)]
+    assert main(["simulate", "--bits", "2,2", "--path-lens", "10", *common]) == 2
+    assert "bits 2 appears more than once" in capsys.readouterr().err
+    assert main(["simulate", "--bits", "2", "--path-lens", "10,,10", *common]) == 2
+    assert "path_len 10 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_small_grid(tmp_path, capsys):
@@ -227,14 +239,18 @@ def test_figure_malformed_csv(tmp_path, capsys):
         "2,1,100,44,0.44,0.9,0.049607837082461075,-0.7,0",
         "2,1,100,44,0.44,0.4375,0.0496,0.05,0",
         "2,1,100,44,0.44,0.4375,0.5,0.005,0",
+        # right exact_p and std_error, but z_score is not (0.44 - p) / std_error
+        "2,1,100,44,0.44,0.4375,0.049607837082461075,0.05,0",
     ):
         bad.write_text(f"{header}\n{row}\n")
         svg = tmp_path / "bad.svg"
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
-    # the same row with both values as the emitter writes them draws
-    bad.write_text(f"{header}\n2,1,100,44,0.44,0.4375,0.049607837082461075,0.05,0\n")
+    # the row as the emitter writes it draws
+    bad.write_text(
+        f"{header}\n2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0\n"
+    )
     assert main(["figure", str(bad), "--output", str(svg)]) == 0
     assert svg.read_text().count('class="band"') == 1
     capsys.readouterr()

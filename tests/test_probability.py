@@ -174,6 +174,10 @@ def test_diff_table_rejects_empty():
         diff_table([], [10])
     with pytest.raises(ValueError):
         diff_table([2], [])
+    with pytest.raises(ValueError, match="bits 4 appears more than once"):
+        diff_table([4, 2, 4], [10])
+    with pytest.raises(ValueError, match="path_len 0 appears more than once"):
+        diff_table([2], [0, 0])
 
 
 def test_monotonic_in_path_len():

@@ -1,9 +1,13 @@
+import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
+from merkle_falsify import simulate
 from merkle_falsify.figure import read_simulation_csv, render_figure
 from merkle_falsify.probability import PathParams, approximation_error, diff_table
 from merkle_falsify.report import (
@@ -102,18 +106,21 @@ def test_read_simulation_csv_rejects_malformed():
     broken[4] = "not-a-number"
     with pytest.raises(ValueError):
         read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
-    # parseable but impossible rows: non-finite floats, no trials, matches
-    # outside 0..total_trials, bits outside 1..256, negative path_len, an
-    # empirical_p that is not matches / total_trials, an exact_p that is not
-    # the closed form at (bits, path_len), and a std_error that is not
-    # sqrt(p(1 - p) / total_trials) for that p (columns: 0 bits, 1 path_len,
-    # 2 total_trials, 3 matches, 4-7 floats); at b=2, m=0, T=20, p = 0.25
+    # parseable rows that simulate cannot write: integers out of range or not
+    # written canonically, and float fields that are not the writer's text
+    # for the row's integers (columns: 0 bits, 1 path_len, 2 total_trials,
+    # 3 matches, 4 empirical_p, 5 exact_p, 6 std_error, 7 z_score, 8 seed);
+    # at b=2, m=0, T=20, p = 0.25
+    z_score = body.split(",")[7]
     impossible = [{k: v} for k in (4, 5, 6, 7) for v in ("nan", "inf", "-inf")]
     impossible += [{2: "0", 3: "0"}, {2: "-1", 3: "0"}, {3: "-1"}, {3: "21"}]
     impossible += [{0: "0"}, {0: "257"}, {0: "1100"}, {1: "-1"}]
+    impossible += [{8: "-1"}, {8: "18446744073709551616"}]
+    impossible += [{0: "+2"}, {0: "02"}, {0: " 2"}, {2: "2_0"}]
     impossible += [{3: "1", 4: "0.9"}, {3: "1", 4: "0.050000000000001"}, {3: "0", 4: "1e-300"}]
-    impossible += [{5: "0.9"}, {5: "0.25000000001"}, {5: "0"}, {1: "1"}, {0: "3"}]
+    impossible += [{5: "0.9"}, {5: "0.25000000001"}, {5: "0"}, {5: "0.250"}, {1: "1"}, {0: "3"}]
     impossible += [{6: "0.0968"}, {6: "0"}, {6: "0.09682458366"}, {2: "40", 3: "0", 4: "0"}]
+    impossible += [{7: "0.05"}, {7: z_score[:-1] + str((int(z_score[-1]) + 1) % 10)}]
     for fields in impossible:
         broken = body.split(",")
         for k, v in fields.items():
@@ -122,6 +129,37 @@ def test_read_simulation_csv_rejects_malformed():
             read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
     assert read_simulation_csv(header + "\n" + body + "\n")[0]["total_trials"] == 20
     assert body.split(",")[5:7] == ["0.25", "0.096824583655185426"]
+
+
+@given(
+    bits=st.integers(min_value=1, max_value=256),
+    path_len=st.integers(min_value=0, max_value=10**9),
+    total_trials=st.integers(min_value=1, max_value=10**9),
+    matches_frac=st.fractions(min_value=0, max_value=1),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    changed=st.sampled_from(("empirical_p", "exact_p", "std_error", "z_score")),
+)
+@settings(max_examples=60, deadline=None)
+def test_read_simulation_csv_accepts_exactly_the_writers_rows(
+    bits, path_len, total_trials, matches_frac, seed, changed
+):
+    matches = int(matches_frac * total_trials)
+    config = ExperimentConfig(
+        bits=bits, path_len=path_len, trials_per_experiment=total_trials,
+        num_experiments=1, master_seed=seed,
+    )
+    text = ReportTable.from_simulation([simulate._finalize_cell(config, matches)]).to_csv()
+    [row] = read_simulation_csv(text)
+    assert (row["bits"], row["path_len"], row["total_trials"], row["matches"], row["seed"]) == (
+        bits, path_len, total_trials, matches, seed
+    )
+    # the nearest float above the written value is a different row
+    header, line = text.splitlines()
+    fields = line.split(",")
+    col = SIMULATION_HEADER.index(changed)
+    fields[col] = repr(math.nextafter(float(fields[col]), math.inf))
+    with pytest.raises(ValueError, match=f"row 1 has {changed} "):
+        read_simulation_csv(header + "\n" + ",".join(fields) + "\n")
 
 
 def test_render_single_cell_structure():

@@ -414,6 +414,10 @@ def test_run_grid_validation():
             run_grid(build_grid([2], [0]), workers=bad)
     with pytest.raises(ValueError):
         build_grid([], [1])
+    with pytest.raises(ValueError, match="bits 2 appears more than once"):
+        build_grid([2, 2], [10, 10])
+    with pytest.raises(ValueError, match="path_len 10 appears more than once"):
+        build_grid([2, 3], [10, 0, 10])
 
 
 def test_truncated_mode_changes_draws():
