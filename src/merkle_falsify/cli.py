@@ -34,13 +34,13 @@ SEED_ENV_VAR = "MERKLE_FALSIFY_SEED"
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
+    if not text:
+        raise ValueError(f"{name} must not be empty")
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        # An empty item, as in "2,,4" or "2,4,", fails int() like any non-integer.
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{name} must be a comma-separated list of integers: {text!r}")
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    return values
 
 
 def _resolve_seed(arg_seed) -> int:

@@ -5,6 +5,12 @@ markers, and a 5-sigma band segment at each measured cell.  Both axes are
 log-scaled; the x position of path length m is log10(m + 1) so m = 0 cells
 still plot.  No plotting libraries, no external assets -- the output is a
 single SVG string.
+
+The curve is sampled with the closed form in double precision
+(``exact_falsification_prob_float``): coordinates are written to 0.1 px,
+far coarser than a float's last digit, so the 64-digit evaluation would
+draw the same points at many times the cost.  Markers and bands use the
+row's own ``exact_p`` and ``std_error``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import csv
 import io
 import math
 
-from .probability import PathParams, exact_falsification_prob
+from .probability import PathParams, exact_falsification_prob_float
+# Unused here, but the benchmark's traced pass wraps figure.exact_falsification_prob.
+from .probability import exact_falsification_prob  # noqa: F401
 from .report import SIMULATION_HEADER, simulation_row
 from .simulate import Z_LIMIT, cell_statistics
 
@@ -34,8 +42,10 @@ def read_simulation_csv(text: str) -> list[dict]:
     is the widest hash a simulation runs), path_len >= 0, total_trials >= 1,
     matches in 0..total_trials and seed in 0..2^64 - 1.  Every field must then
     equal, as text, what ``report.simulation_row`` writes for those integers
-    and their ``simulate.cell_statistics``.  Anything else raises ValueError
-    naming the row.
+    and their ``simulate.cell_statistics``.  ``simulate`` writes each
+    (bits, path_len) cell once, with one seed and one total for the whole
+    grid, so a repeated cell, or a seed or total_trials other than the first
+    row's, is rejected too.  Anything else raises ValueError naming the row.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -47,6 +57,7 @@ def read_simulation_csv(text: str) -> list[dict]:
             f"unexpected CSV header {header!r}; want {SIMULATION_HEADER!r}"
         )
     rows = []
+    cells: dict[tuple[int, int], int] = {}  # (bits, path_len) -> row number
     for k, raw in enumerate(reader):
         if not raw:
             continue
@@ -69,6 +80,15 @@ def read_simulation_csv(text: str) -> list[dict]:
             raise ValueError(f"row {n} has path_len {path_len} < 0")
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"row {n} has seed {seed} outside 0..2^64 - 1")
+        if (bits, path_len) in cells:
+            first = cells[bits, path_len]
+            raise ValueError(f"row {n} repeats bits {bits}, path_len {path_len} from row {first}")
+        cells[bits, path_len] = n
+        if rows and (seed, total_trials) != (rows[0]["seed"], rows[0]["total_trials"]):
+            raise ValueError(
+                f"row {n} has seed {seed}, total_trials {total_trials}; the first row has "
+                f"seed {rows[0]['seed']}, total_trials {rows[0]['total_trials']}"
+            )
         stats = cell_statistics(bits, path_len, total_trials, matches)
         want = simulation_row(bits, path_len, total_trials, matches, *stats, seed)
         for name, got, written in zip(header, raw, want):
@@ -110,7 +130,7 @@ def render_figure(rows: list[dict]) -> str:
         lo = cells[0]["path_len"]
         hi = cells[-1]["path_len"]
         curves[bits] = [
-            (m, float(exact_falsification_prob(PathParams(bits, m)).value))
+            (m, exact_falsification_prob_float(PathParams(bits, m)))
             for m in _curve_samples(lo, hi)
         ]
 

@@ -14,13 +14,26 @@ below double-precision resolution.  An exact ``Fraction`` companion is
 attached while the numerators stay small (``b * (m+1) <= 4096`` bits).
 The approximation is reported raw: it exceeds 1 for small ``b`` and large
 ``m`` and is a diagnostic of the expansion, not a probability.
+
+The terms that depend on ``b`` alone -- ``x = 2^-b``, ``log1p(-x)`` and
+``exp(-x)`` -- are computed once per width and kept in a bounded
+``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries, so a table over many path
+lengths pays one ``expm1`` per cell and function.  Caching changes no
+value: the terms are evaluated inside their own ``workdps`` at the
+formulas' precision, whatever precision the caller has set, so a cached
+term is the very ``mpf`` an uncached evaluation gives.
+
+``exact_falsification_prob_float`` is the same closed form at double
+precision, for callers that only draw the value (the figure's curve).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mpf
@@ -29,6 +42,9 @@ from mpmath import mpf
 # guard digits on top.
 PRECISION_DPS = 64
 _GUARD_DPS = 8
+
+# Distinct widths whose per-width terms are kept; a table rarely spans more.
+_WIDTH_TERMS_CACHE = 256
 
 # Populate the exact rational companion only while the numerator of
 # (2^b - 1)^(m+1) / 2^(b(m+1)) stays below this many bits.
@@ -78,6 +94,14 @@ class FalsificationEstimate:
     abs_diff: mpf
 
 
+@lru_cache(maxsize=_WIDTH_TERMS_CACHE)
+def _width_terms(bits: int) -> tuple[mpf, mpf, mpf]:
+    """(x, log1p(-x), exp(-x)) for x = 2^-bits, at the formulas' precision."""
+    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
+        x = mpf(2) ** (-bits)
+        return x, mpmath.log1p(-x), mpmath.exp(-x)
+
+
 def exact_falsification_prob(params: PathParams) -> Probability:
     """Exact match probability 1 - (1 - 2^-b)^(m+1).
 
@@ -85,13 +109,22 @@ def exact_falsification_prob(params: PathParams) -> Probability:
     2^-b underflows ordinary doubles.
     """
     b, m = params.bits, params.path_len
+    _, log1p_neg_x, _ = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        x = mpf(2) ** (-b)
-        value = -mpmath.expm1((m + 1) * mpmath.log1p(-x))
+        value = -mpmath.expm1((m + 1) * log1p_neg_x)
     rational = None
     if b * (m + 1) <= RATIONAL_BITS_LIMIT:
         rational = 1 - Fraction((1 << b) - 1, 1 << b) ** (m + 1)
     return Probability(value, rational)
+
+
+def exact_falsification_prob_float(params: PathParams) -> float:
+    """The exact form 1 - (1 - 2^-b)^(m+1) in double precision, for drawing.
+
+    Same log-domain evaluation as ``exact_falsification_prob``; within a few
+    units in the last place of that value rounded to a float.
+    """
+    return -math.expm1((params.path_len + 1) * math.log1p(-(2.0**-params.bits)))
 
 
 def exact_falsification_prob_termsum(params: PathParams) -> Probability:
@@ -129,9 +162,9 @@ def approx_falsification_prob(params: PathParams) -> Probability:
     clamped: values above 1 are reported as-is.
     """
     b, m = params.bits, params.path_len
+    x, _, exp_neg_x = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        x = mpf(2) ** (-b)
-        value = x - mpmath.exp(-x) * mpmath.expm1(-m * x)
+        value = x - exp_neg_x * mpmath.expm1(-m * x)
     return Probability(value, None)
 
 

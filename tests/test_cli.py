@@ -61,6 +61,10 @@ def test_table_bad_lists(capsys):
     capsys.readouterr()
     assert main(["table", "--bits", "2,2"]) == 2
     assert "bits 2 appears more than once" in capsys.readouterr().err
+    for text in ("2,,4", "2,4,", ",2"):
+        assert main(["table", "--bits", text]) == 2
+        err = capsys.readouterr().err
+        assert f"--bits must be a comma-separated list of integers: {text!r}" in err
 
 
 def test_simulate_repeated_grid_values(tmp_path, capsys):
@@ -68,7 +72,7 @@ def test_simulate_repeated_grid_values(tmp_path, capsys):
     common = ["--trials", "10", "--experiments", "1", "--output", str(out)]
     assert main(["simulate", "--bits", "2,2", "--path-lens", "10", *common]) == 2
     assert "bits 2 appears more than once" in capsys.readouterr().err
-    assert main(["simulate", "--bits", "2", "--path-lens", "10,,10", *common]) == 2
+    assert main(["simulate", "--bits", "2", "--path-lens", "10,10", *common]) == 2
     assert "path_len 10 appears more than once" in capsys.readouterr().err
     assert not out.exists()
 
@@ -248,12 +252,23 @@ def test_figure_malformed_csv(tmp_path, capsys):
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
     # the row as the emitter writes it draws
-    bad.write_text(
-        f"{header}\n2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0\n"
-    )
+    good = "2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0"
+    bad.write_text(f"{header}\n{good}\n")
     assert main(["figure", str(bad), "--output", str(svg)]) == 0
     assert svg.read_text().count('class="band"') == 1
     capsys.readouterr()
+    # writer rows that one simulate run cannot write together: the same cell
+    # twice, then b=2, m=0 (p = 0.25) at another seed and at another total
+    svg.unlink()
+    for second in (
+        good,
+        "2,0,100,25,0.25,0.25,0.043301270189221933,0.0,1",
+        "2,0,50,25,0.5,0.25,0.06123724356957945,4.0824829046386304,0",
+    ):
+        bad.write_text(f"{header}\n{good}\n{second}\n")
+        assert main(["figure", str(bad), "--output", str(svg)]) == 2
+        assert not svg.exists()
+        assert "row 2 " in capsys.readouterr().err
 
 
 def test_unwritable_output(tmp_path, capsys):

@@ -24,6 +24,17 @@ def test_package_all_resolves():
     assert set(names) <= namespace.keys()
 
 
+def test_bench_span_targets_resolve(monkeypatch):
+    # A traced benchmark run wraps each (owner, attribute) a workload names;
+    # a name the package no longer binds fails there with KeyError.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS.values():
+        for owner, attr, _ in workload.span_targets():
+            assert attr in vars(owner), (workload.name, owner.__name__, attr)
+
+
 # Runs in a fresh interpreter: this test module's own imports (numpy among
 # them, through the simulation call below) would hide a module that the
 # package loads too early.

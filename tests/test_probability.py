@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from merkle_falsify import probability
 from merkle_falsify.probability import (
     DEFAULT_BITS,
     DEFAULT_PATH_LENS,
@@ -15,6 +16,7 @@ from merkle_falsify.probability import (
     approximation_error,
     diff_table,
     exact_falsification_prob,
+    exact_falsification_prob_float,
     exact_falsification_prob_termsum,
 )
 
@@ -217,3 +219,35 @@ def test_probability_rational_decimal_crosscheck():
     r = p.exact_rational
     dec = Decimal(r.numerator) / Decimal(r.denominator)
     assert float(p.value) == pytest.approx(float(dec), rel=1e-15)
+
+
+@given(
+    b=st.integers(min_value=1, max_value=300),
+    m=st.integers(min_value=0, max_value=10**7),
+    caller_dps=st.sampled_from((15, 200)),
+)
+@settings(max_examples=100, deadline=None)
+def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
+    # The per-width terms are cached on the first call for a width; made
+    # under a caller's low or high working precision, that call must still
+    # cache the terms at the formulas' own precision.
+    with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
+        x = mpf(2) ** -b
+        exact = -mpmath.expm1((m + 1) * mpmath.log1p(-x))
+        approx = x - mpmath.exp(-x) * mpmath.expm1(-m * x)
+    probability._width_terms.cache_clear()
+    params = PathParams(b, m)
+    with mpmath.workdps(caller_dps):
+        first = (exact_falsification_prob(params).value, approx_falsification_prob(params).value)
+    assert first == (exact, approx)
+    assert exact_falsification_prob(PathParams(b, m)).value == exact
+    assert approx_falsification_prob(PathParams(b, m)).value == approx
+
+
+def test_float_closed_form_tracks_mpmath():
+    for b in range(1, 257):
+        for m in (0, 1, 2, 7, 64, 1000, 12345, 10**5, 999_999, 10**6):
+            params = PathParams(b, m)
+            want = float(exact_falsification_prob(params).value)
+            got = exact_falsification_prob_float(params)
+            assert abs(got - want) <= 1e-15 * want, (b, m, got, want)

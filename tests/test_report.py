@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -15,8 +16,15 @@ from merkle_falsify.report import (
     TABLE_HEADER,
     ReportTable,
     format_sig,
+    simulation_row,
 )
-from merkle_falsify.simulate import ExperimentConfig, run_grid
+from merkle_falsify.simulate import ExperimentConfig, cell_statistics, run_grid
+
+
+def _writer_row(bits, path_len, total_trials, matches, seed):
+    """One CSV line as simulate writes it for these integers."""
+    stats = cell_statistics(bits, path_len, total_trials, matches)
+    return ",".join(simulation_row(bits, path_len, total_trials, matches, *stats, seed))
 
 
 def test_format_sig_plain_values():
@@ -129,6 +137,19 @@ def test_read_simulation_csv_rejects_malformed():
             read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
     assert read_simulation_csv(header + "\n" + body + "\n")[0]["total_trials"] == 20
     assert body.split(",")[5:7] == ["0.25", "0.096824583655185426"]
+    # rows that simulate writes one at a time but never together: a repeated
+    # cell, and a seed or total_trials other than the first row's
+    seed = int(body.split(",")[8])
+    assert body == _writer_row(2, 0, 20, int(body.split(",")[3]), seed)
+    for second in (
+        body,
+        _writer_row(2, 0, 20, 0, seed),
+        _writer_row(2, 1, 20, 5, seed + 1),
+        _writer_row(2, 1, 40, 5, seed),
+    ):
+        with pytest.raises(ValueError, match="row 2 "):
+            read_simulation_csv(f"{header}\n{body}\n{second}\n")
+    assert len(read_simulation_csv(f"{header}\n{body}\n{_writer_row(2, 1, 20, 5, seed)}\n")) == 2
 
 
 @given(
@@ -200,3 +221,17 @@ def test_render_handles_zero_empirical():
 def test_render_rejects_empty():
     with pytest.raises(ValueError):
         render_figure([])
+
+
+def test_render_pinned_svg():
+    # 3 widths x 4 path lengths; the digest was taken before the curve moved
+    # from 64-digit to double-precision samples, which must draw the same SVG
+    T = 4000
+    lines = [",".join(SIMULATION_HEADER)]
+    for bits, matches in ((3, (480, 2600, 3990, 4000)), (10, (3, 40, 1500, 4000)), (20, (0, 0, 4, 3800))):
+        for m, k in zip((0, 30, 2000, 10**7), matches):
+            lines.append(_writer_row(bits, m, T, k, 7))
+    svg = render_figure(read_simulation_csv("\n".join(lines) + "\n"))
+    assert svg.count('class="curve"') == 3 and svg.count('class="marker"') == 12
+    digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+    assert digest == "df422b9a982e81e20c40e07095459db1593ded474a8b1ff4e6ece78d32e79606"
