@@ -45,7 +45,11 @@ def read_simulation_csv(text: str) -> list[dict]:
     and their ``simulate.cell_statistics``.  ``simulate`` writes each
     (bits, path_len) cell once, with one seed and one total for the whole
     grid, so a repeated cell, or a seed or total_trials other than the first
-    row's, is rejected too.  Anything else raises ValueError naming the row.
+    row's, is rejected too.  It writes the whole product of its bits and
+    path_len values, sorted by bits and then path_len, so the rows must be
+    exactly the sorted product of their distinct bits and path_len values; a
+    missing or misplaced cell is rejected.  Anything else raises ValueError
+    naming the row or the cell.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -100,6 +104,23 @@ def read_simulation_csv(text: str) -> list[dict]:
         rows.append(dict(zip(header, values)))
     if not rows:
         raise ValueError("CSV has no data rows")
+    grid = [
+        (b, m)
+        for b in sorted({b for b, _ in cells})
+        for m in sorted({m for _, m in cells})
+    ]
+    for b, m in grid:
+        if (b, m) not in cells:
+            raise ValueError(
+                f"no row for bits {b}, path_len {m}; simulate writes every cell "
+                "of the grid of the file's bits and path_len values"
+            )
+    for ((b, m), n), want in zip(cells.items(), grid):
+        if (b, m) != want:
+            raise ValueError(
+                f"row {n} has bits {b}, path_len {m} where simulate writes bits "
+                f"{want[0]}, path_len {want[1]}; rows are sorted by bits, then path_len"
+            )
     return rows
 
 

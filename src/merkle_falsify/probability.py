@@ -25,6 +25,12 @@ term is the very ``mpf`` an uncached evaluation gives.
 
 ``exact_falsification_prob_float`` is the same closed form at double
 precision, for callers that only draw the value (the figure's curve).
+
+Imports: mpmath is imported inside each function that evaluates with it,
+never at module level.  The package imports this module, but tree builds,
+proofs and verification compute no probability, so they never load mpmath;
+the ``prob``, ``table``, ``simulate`` and ``figure`` commands load it with
+their first value.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mpf
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 # Stated working precision for Probability values; computations carry a few
 # guard digits on top.
@@ -97,8 +104,10 @@ class FalsificationEstimate:
 @lru_cache(maxsize=_WIDTH_TERMS_CACHE)
 def _width_terms(bits: int) -> tuple[mpf, mpf, mpf]:
     """(x, log1p(-x), exp(-x)) for x = 2^-bits, at the formulas' precision."""
+    import mpmath
+
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        x = mpf(2) ** (-bits)
+        x = mpmath.mpf(2) ** (-bits)
         return x, mpmath.log1p(-x), mpmath.exp(-x)
 
 
@@ -108,6 +117,8 @@ def exact_falsification_prob(params: PathParams) -> Probability:
     Evaluated as -expm1((m+1) * log1p(-2^-b)) so no precision is lost when
     2^-b underflows ordinary doubles.
     """
+    import mpmath
+
     b, m = params.bits, params.path_len
     _, log1p_neg_x, _ = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
@@ -136,6 +147,8 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     Cross-check oracle for the closed form; guarded to small scales because
     the numerators grow by b bits with every level.
     """
+    import mpmath
+
     b, m = params.bits, params.path_len
     if b > TERMSUM_MAX_BITS or m > TERMSUM_MAX_PATH_LEN:
         raise ValueError(
@@ -150,7 +163,7 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
         q_k *= q
     total = Fraction(num, 1 << (b * (m + 1)))
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        value = mpf(total.numerator) / mpf(total.denominator)
+        value = mpmath.mpf(total.numerator) / mpmath.mpf(total.denominator)
     return Probability(value, total)
 
 
@@ -161,6 +174,8 @@ def approx_falsification_prob(params: PathParams) -> Probability:
     with the near-cancelling exponentials folded into one expm1.  Not
     clamped: values above 1 are reported as-is.
     """
+    import mpmath
+
     b, m = params.bits, params.path_len
     x, _, exp_neg_x = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
@@ -170,6 +185,8 @@ def approx_falsification_prob(params: PathParams) -> Probability:
 
 def approximation_error(params: PathParams) -> FalsificationEstimate:
     """Exact and approximate values side by side with |approx - exact|."""
+    import mpmath
+
     exact = exact_falsification_prob(params)
     approx = approx_falsification_prob(params)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):

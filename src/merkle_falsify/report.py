@@ -7,9 +7,6 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mpf
-
 SIG_DIGITS = 17
 
 TABLE_HEADER = ("b", "m", "exact", "approx", "abs_diff")
@@ -28,11 +25,13 @@ SIMULATION_HEADER = (
 
 def format_sig(x, digits: int = SIG_DIGITS) -> str:
     """Decimal string with the given significant digits, '.' separator, no grouping."""
+    import mpmath
+
     with mpmath.workdps(digits + 10):
         if isinstance(x, Fraction):
-            x = mpf(x.numerator) / mpf(x.denominator)
+            x = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
         else:
-            x = mpf(x)
+            x = mpmath.mpf(x)
         return mpmath.nstr(x, digits, strip_zeros=True)
 
 

@@ -41,12 +41,16 @@ first trials * m * width bytes of the stream, byte o being byte o % 8
 would return -- and memory stays bounded by one window of them whatever
 trials and m are.
 
-Imports: the package imports this module, but the probability, table, tree
-and figure commands never simulate, so it loads nothing heavy at import.
+Imports: the package imports this module, but only ``simulate`` runs
+experiments, so it loads neither numpy nor mpmath at import.
 ``run_experiment`` imports numpy itself, and ``run_grid`` imports
 ``concurrent.futures.ProcessPoolExecutor`` only when it starts a pool.
 Before it starts one, ``run_grid`` imports numpy, so that workers started by
 fork inherit the loaded module instead of each importing it again.
+``cell_statistics`` imports mpmath, as do the closed-form functions of
+``probability``, so of the commands only ``prob``, ``table``, ``simulate``
+and ``figure`` load mpmath, and only ``simulate`` loads numpy; ``merkle``
+builds, proofs and verification load neither.
 """
 
 from __future__ import annotations
@@ -57,9 +61,6 @@ import os
 import string
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import mpmath
-from mpmath import mpf
 
 from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
@@ -72,6 +73,11 @@ _ALPHABET_BYTES = ALPHABET.encode("ascii")
 
 WIDE = "wide"
 TRUNCATED = "truncated"
+
+# Trials one experiment may hold.  Its four trials x data_length draw arrays
+# take 64 B per trial at the default length, so 64 MB at the cap; a larger
+# total is spread over more experiments.
+MAX_TRIALS_PER_EXPERIMENT = 10**6
 
 # Width of a wide path element; matches the full SHA-256 digest.
 WIDE_SIBLING_BYTES = 32
@@ -146,12 +152,18 @@ def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: in
 
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
-    import numpy as np
-
+    if config.trials_per_experiment > MAX_TRIALS_PER_EXPERIMENT:
+        raise ValueError(
+            f"trials_per_experiment {config.trials_per_experiment} exceeds "
+            f"{MAX_TRIALS_PER_EXPERIMENT}; spread the trials over more experiments "
+            "(--experiments)"
+        )
     # The index is part of the seed text, so 1.0 or True would silently
     # draw a different stream than 1.
     if type(experiment_index) is not int or not 0 <= experiment_index < config.num_experiments:
         raise ValueError(f"experiment_index {experiment_index} out of range")
+    import numpy as np
+
     key = (config.master_seed, config.bits, config.path_len, experiment_index)
     rng = np.random.default_rng(_derive_seed("seed", *key))
     oracle = None
@@ -247,10 +259,16 @@ def cell_statistics(
     """(exact_p, std_error, z_score): the closed form P at (bits, path_len),
     sqrt(P(1 - P) / total_trials), and (matches / total_trials - P) / std_error
     (0 where std_error is 0)."""
+    import mpmath
+
     exact = exact_falsification_prob(PathParams(bits, path_len)).value
     with mpmath.workdps(PRECISION_DPS):
         std_error = mpmath.sqrt(exact * (1 - exact) / total_trials)
-        z = (mpf(matches) / total_trials - exact) / std_error if std_error != 0 else mpf(0)
+        z = (
+            (mpmath.mpf(matches) / total_trials - exact) / std_error
+            if std_error != 0
+            else mpmath.mpf(0)
+        )
     return float(exact), float(std_error), float(z)
 
 

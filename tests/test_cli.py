@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from merkle_falsify.cli import main
+from merkle_falsify.simulate import MAX_TRIALS_PER_EXPERIMENT
 
 from frozen_values import SHA_ABC_HEX
 
@@ -75,6 +77,24 @@ def test_simulate_repeated_grid_values(tmp_path, capsys):
     assert main(["simulate", "--bits", "2", "--path-lens", "10,10", *common]) == 2
     assert "path_len 10 appears more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_trials_cap(tmp_path, capsys):
+    # refused before any draw: no CSV, and no 64 MB of draw arrays
+    out = tmp_path / "sim.csv"
+    tracemalloc.start()
+    try:
+        rc = main([
+            "simulate", "--bits", "2", "--path-lens", "1", "--experiments", "1",
+            "--trials", str(MAX_TRIALS_PER_EXPERIMENT + 1), "--output", str(out),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "--experiments" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 def test_simulate_small_grid(tmp_path, capsys):
@@ -269,6 +289,26 @@ def test_figure_malformed_csv(tmp_path, capsys):
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 2 " in capsys.readouterr().err
+    # writer rows of one run that are not the sorted bits x path_len grid
+    sim = tmp_path / "sim.csv"
+    assert main([
+        "simulate", "--bits", "2,3", "--path-lens", "0,1", "--trials", "20",
+        "--experiments", "1", "--output", str(sim),
+    ]) == 0
+    capsys.readouterr()
+    head, r20, r21, r30, r31 = sim.read_text().splitlines()
+    for rows, message in (
+        ((r20, r21, r30), "no row for bits 3, path_len 1;"),
+        ((r21, r20, r30, r31), "row 1 has bits 2, path_len 1 where simulate writes bits 2, path_len 0;"),
+        ((r20, r21, r31, r30), "row 3 has bits 3, path_len 1 where simulate writes bits 3, path_len 0;"),
+    ):
+        bad.write_text("\n".join((head, *rows)) + "\n")
+        assert main(["figure", str(bad), "--output", str(svg)]) == 2
+        assert not svg.exists()
+        assert message in capsys.readouterr().err
+    bad.write_text("\n".join((head, r20, r21, r30, r31)) + "\n")
+    assert main(["figure", str(bad), "--output", str(svg)]) == 0
+    capsys.readouterr()
 
 
 def test_unwritable_output(tmp_path, capsys):

@@ -47,7 +47,7 @@ import sys
 import traceback
 
 import merkle_falsify
-from merkle_falsify import cli, simulate
+from merkle_falsify import cli, figure, hashing, merkle, probability, report, simulate
 
 tmp, sim_csv = sys.argv[1:]
 
@@ -83,18 +83,22 @@ def path(name):
 
 
 assert heavy() == [], heavy()
+assert "mpmath" not in sys.modules
 with open(path("blocks.txt"), "w") as fh:
     fh.write("a\nb\nc\n")
 with open(path("block.txt"), "w") as fh:
     fh.write("b\n")
-for which in ("exact", "approx", "diff"):
-    run("prob", which, "--bits", "8", "--path-len", "10")
-run("table", "--bits", "2,8", "--path-lens", "0,10")
-run("table", "--bits", "2,8", "--path-lens", "0,10", "--format", "md", "--output", path("t.md"))
+# The tree commands compute no probability, so they run before the first one.
 root = run("merkle", "build", path("blocks.txt"), "--bits", "12").split()[-1]
 run("merkle", "prove", path("blocks.txt"), "--index", "1", "--bits", "12", "--output", path("p.json"))
 assert run("merkle", "verify", "--block", path("block.txt"), "--proof", path("p.json"),
            "--root", root).strip() == "OK"
+assert "mpmath" not in sys.modules
+for which in ("exact", "approx", "diff"):
+    run("prob", which, "--bits", "8", "--path-len", "10")
+assert "mpmath" in sys.modules
+run("table", "--bits", "2,8", "--path-lens", "0,10")
+run("table", "--bits", "2,8", "--path-lens", "0,10", "--format", "md", "--output", path("t.md"))
 run("figure", sim_csv, "--output", path("fig.svg"))
 assert heavy() == [], heavy()
 
@@ -136,7 +140,8 @@ assert heavy() == ["numpy"], heavy()
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool check forks")
 def test_import_boundary(tmp_path):
     # import, prob, table, merkle and figure load neither numpy nor the
-    # process pool; a serial simulation loads numpy, and run_grid loads it
+    # process pool, and import and merkle load no mpmath either; prob loads
+    # mpmath, a serial simulation loads numpy, and run_grid loads numpy
     # before it constructs a pool
     sim_csv = tmp_path / "sim.csv"
     with contextlib.redirect_stdout(io.StringIO()):
