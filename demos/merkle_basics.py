@@ -20,14 +20,15 @@ from merkle_falsify import (
 spec = HashSpec(SHA256, 256)
 
 # Five blocks; an odd level duplicates its last digest before pairing,
-# so the stored level sizes run 5+1 -> 3+1 -> 2 -> 1.
+# so the stored level sizes run 5+1 -> 3+1 -> 2 -> 1.  Each level is one
+# bytes buffer of spec.nbytes-byte digests laid end to end.
 blocks = [f"record-{i}".encode() for i in range(5)]
 tree = build_tree(blocks, spec)
 
 print("root         :", tree.root.hex())
 print("height       :", tree.height)
 for depth, level in enumerate(tree.levels):
-    print(f"level {depth} size :", len(level))
+    print(f"level {depth} size :", len(level) // spec.nbytes)
 
 # An authentication path lists, bottom-up, the sibling consumed at each
 # level and the side it occupies in the concatenation.

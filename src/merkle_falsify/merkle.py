@@ -5,9 +5,10 @@ digests is first extended by duplicating its final digest, so every level
 pairs cleanly; a single-leaf tree is just the leaf digest.  A parent node is
 the kernel ``hashing.node_fn`` applied to the bytes ``left || right`` under
 the tree's :class:`HashSpec`.  Tree code binds that kernel once per call and
-hashes raw bytes.  A tree's levels hold the kernel's raw output; a
-:class:`Digest` is built only for a value that leaves the code: a tree's
-root and the siblings of a proof.
+hashes raw bytes.  A tree stores each level as one ``bytes`` buffer of the
+kernel's raw outputs laid end to end, so a node costs its ``spec.nbytes``
+bytes and no object of its own.  A :class:`Digest` is built only for a
+value that leaves the code: a tree's root and the siblings of a proof.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
@@ -71,24 +72,27 @@ class MerkleProof:
 class MerkleTree:
     """A built tree: all levels retained, leaves first, root level last.
 
-    Each level entry is the kernel's raw output: ``spec.nbytes`` bytes,
-    left-aligned, pad bits zero -- the ``data`` of a :class:`Digest` at
-    ``spec.bits``, without the object.  ``root`` and ``generate_proof``
-    wrap the few entries they hand out.
+    Each level is one ``bytes`` buffer holding its entries back to back:
+    with ``nb = spec.nbytes``, entry ``i`` of level ``k`` is
+    ``levels[k][i * nb : (i + 1) * nb]``.  An entry is the kernel's raw
+    output: ``nb`` bytes, left-aligned, pad bits zero -- the ``data`` of a
+    :class:`Digest` at ``spec.bits``, without the object.  ``root`` and
+    ``generate_proof`` slice out and wrap the few entries they hand out.
 
     ``levels[0]`` holds the leaf digests *after* any duplication padding;
-    ``leaf_count`` is the number of original blocks.  Treat instances as
-    immutable snapshots -- mutating ``levels`` invalidates proofs.
+    ``leaf_count`` is the number of original blocks, and the last level
+    holds the root alone.  Treat instances as immutable snapshots --
+    replacing a level invalidates proofs.
     """
 
-    def __init__(self, spec: HashSpec, leaf_count: int, levels: list[list[bytes]]):
+    def __init__(self, spec: HashSpec, leaf_count: int, levels: list[bytes]):
         self.spec = spec
         self.leaf_count = leaf_count
         self.levels = levels
 
     @property
     def root(self) -> Digest:
-        return Digest(self.levels[-1][0], self.spec.bits)
+        return Digest(self.levels[-1], self.spec.bits)
 
     @property
     def height(self) -> int:
@@ -103,12 +107,21 @@ def build_tree(
     if len(leaves) == 0:
         raise ValueError("cannot build a tree from zero leaves")
     node = node_fn(spec, oracle)
-    levels = [[node(block) for block in leaves]]
-    while len(levels[-1]) > 1:
-        cur = levels[-1]
-        if len(cur) % 2:
-            cur.append(cur[-1])
-        levels.append([node(cur[i] + cur[i + 1]) for i in range(0, len(cur), 2)])
+    nb = spec.nbytes
+    pair = 2 * nb
+    buf = bytearray()
+    for block in leaves:
+        buf += node(block)
+    levels = []
+    while len(buf) > nb:
+        if len(buf) % pair:
+            buf += buf[-nb:]
+        level = bytes(buf)
+        levels.append(level)
+        buf = bytearray()
+        for i in range(0, len(level), pair):
+            buf += node(level[i : i + pair])
+    levels.append(bytes(buf))
     return MerkleTree(spec, len(leaves), levels)
 
 
@@ -119,11 +132,13 @@ def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
             f"leaf index {leaf_index!r} out of range for {tree.leaf_count} leaves"
         )
     bits = tree.spec.bits
+    nb = tree.spec.nbytes
     steps = []
     index = leaf_index
     for level in tree.levels[:-1]:
         side = RIGHT if index % 2 == 0 else LEFT
-        steps.append(ProofStep(Digest(level[index ^ 1], bits), side))
+        at = (index ^ 1) * nb
+        steps.append(ProofStep(Digest(level[at : at + nb], bits), side))
         index //= 2
     return MerkleProof(bits=bits, leaf_index=leaf_index, steps=tuple(steps))
 

@@ -74,10 +74,10 @@ _ALPHABET_BYTES = ALPHABET.encode("ascii")
 WIDE = "wide"
 TRUNCATED = "truncated"
 
-# Trials one experiment may hold.  Its four trials x data_length draw arrays
-# take 64 B per trial at the default length, so 64 MB at the cap; a larger
-# total is spread over more experiments.
-MAX_TRIALS_PER_EXPERIMENT = 10**6
+# Bytes one experiment's draws may take: four trials x data_length uint8
+# arrays, so 10**6 trials at the default data_length of 16.  A larger total
+# is spread over more experiments.
+MAX_DRAW_BYTES = 64 * 10**6
 
 # Width of a wide path element; matches the full SHA-256 digest.
 WIDE_SIBLING_BYTES = 32
@@ -152,10 +152,12 @@ def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: in
 
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
-    if config.trials_per_experiment > MAX_TRIALS_PER_EXPERIMENT:
+    draw_bytes = 4 * config.trials_per_experiment * config.data_length
+    if draw_bytes > MAX_DRAW_BYTES:
         raise ValueError(
-            f"trials_per_experiment {config.trials_per_experiment} exceeds "
-            f"{MAX_TRIALS_PER_EXPERIMENT}; spread the trials over more experiments "
+            f"trials_per_experiment {config.trials_per_experiment} at data_length "
+            f"{config.data_length} needs {draw_bytes} bytes of draws, above "
+            f"{MAX_DRAW_BYTES}; spread the trials over more experiments "
             "(--experiments)"
         )
     # The index is part of the seed text, so 1.0 or True would silently

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from merkle_falsify.cli import main
-from merkle_falsify.simulate import MAX_TRIALS_PER_EXPERIMENT
+from merkle_falsify.simulate import MAX_DRAW_BYTES
 
 from frozen_values import SHA_ABC_HEX
 
@@ -86,7 +86,8 @@ def test_simulate_trials_cap(tmp_path, capsys):
     try:
         rc = main([
             "simulate", "--bits", "2", "--path-lens", "1", "--experiments", "1",
-            "--trials", str(MAX_TRIALS_PER_EXPERIMENT + 1), "--output", str(out),
+            # 64 draw bytes per trial at the default data_length of 16
+            "--trials", str(MAX_DRAW_BYTES // 64 + 1), "--output", str(out),
         ])
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,12 @@ def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -
     return Digest(node_fn(spec, oracle)(data), spec.bits)
 
 
+def entries(level: bytes, spec: HashSpec) -> list[bytes]:
+    """A stored level cut into its ``spec.nbytes`` entries."""
+    nb = spec.nbytes
+    return [level[i : i + nb] for i in range(0, len(level), nb)]
+
+
 def test_single_leaf():
     tree = build_tree([b"only"], SPEC256)
     assert tree.root == hash_bytes(b"only", SPEC256)
@@ -55,16 +62,17 @@ def test_two_leaves():
 def test_three_leaf_duplication_structure():
     tree = build_tree([b"a", b"b", b"c"], SPEC256)
     assert tree.leaf_count == 3
-    assert [len(level) for level in tree.levels] == [4, 2, 1]
-    assert tree.levels[0][3] == tree.levels[0][2]
-    assert tuple(d.hex() for d in tree.levels[1]) == THREE_LEAF_L1_HEX
+    levels = [entries(level, SPEC256) for level in tree.levels]
+    assert [len(level) for level in levels] == [4, 2, 1]
+    assert levels[0][3] == levels[0][2]
+    assert tuple(d.hex() for d in levels[1]) == THREE_LEAF_L1_HEX
     assert tree.root.hex() == THREE_LEAF_ROOT_HEX
 
     # leaf 2 pairs with its own duplicate, then the left subtree node
     proof = generate_proof(tree, 2)
     assert [s.side for s in proof.steps] == ["right", "left"]
-    assert proof.steps[0].sibling.data == tree.levels[0][2]
-    assert proof.steps[1].sibling.data == tree.levels[1][0]
+    assert proof.steps[0].sibling.data == levels[0][2]
+    assert proof.steps[1].sibling.data == levels[1][0]
     assert verify_proof(b"c", proof, tree.root, SPEC256)
 
 
@@ -136,7 +144,7 @@ def test_proof_length_is_padded_log2():
 
     for n in range(2, 34):
         tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 32))
-        padded = len(tree.levels[0])
+        padded = len(tree.levels[0]) // tree.spec.nbytes
         assert len(generate_proof(tree, 0).steps) == math.ceil(math.log2(padded))
 
 
@@ -145,7 +153,7 @@ def test_levels_recompute():
     # reproduces every stored level, pads included
     for n in (2, 3, 5, 6, 7, 12):
         tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 40))
-        level = list(tree.levels[0])
+        level = entries(tree.levels[0], tree.spec)
         rebuilt = [level]
         while len(level) > 1:
             if len(level) % 2:
@@ -156,7 +164,7 @@ def test_levels_recompute():
                 for i in range(0, len(level), 2)
             ]
             rebuilt.append(level)
-        assert rebuilt == tree.levels
+        assert rebuilt == [entries(stored, tree.spec) for stored in tree.levels]
 
 
 @given(
@@ -165,22 +173,24 @@ def test_levels_recompute():
 )
 @settings(max_examples=60, deadline=None)
 def test_levels_are_raw_kernel_bytes(blocks, bits):
-    # levels hold Digest.data without the object; root and proof siblings
-    # are the only entries wrapped, and they wrap exactly the stored bytes
+    # each level is Digest.data of its entries back to back, without the
+    # objects; root and proof siblings are the only entries wrapped, and
+    # they wrap exactly the stored bytes
     spec = HashSpec(SHA256, bits)
     tree = build_tree(blocks, spec)
     pad_mask = 0xFF >> bits % 8 if bits % 8 else 0
     for level in tree.levels:
-        for entry in level:
-            assert type(entry) is bytes
-            assert len(entry) == spec.nbytes
+        assert type(level) is bytes  # a Digest takes bytes, not bytearray
+        assert len(level) % spec.nbytes == 0
+        for entry in entries(level, spec):
             assert entry[-1] & pad_mask == 0
-    assert tree.root == Digest(tree.levels[-1][0], bits)
+    assert len(tree.levels[-1]) == spec.nbytes
+    assert tree.root == Digest(entries(tree.levels[-1], spec)[0], bits)
     for index in range(len(blocks)):
         proof = generate_proof(tree, index)
         at = index
         for k, step in enumerate(proof.steps):
-            assert step.sibling == Digest(tree.levels[k][at ^ 1], bits)
+            assert step.sibling == Digest(entries(tree.levels[k], spec)[at ^ 1], bits)
             at //= 2
         assert verify_proof(blocks[index], proof, tree.root, spec)
 
@@ -199,13 +209,33 @@ def test_build_tree_builds_no_digest(monkeypatch):
     assert len(calls) == 0
 
 
+def test_tree_memory_is_flat():
+    # guard: a level is one buffer, so a tree holds about its digest bytes
+    # (2^15 entries of nb bytes) rather than an object per node, and the
+    # build keeps no per-node objects on the way
+    blocks = [i.to_bytes(4, "big") for i in range(1 << 14)]
+    for bits, limit in ((256, 1.1 * (1 << 20)), (12, 80 << 10)):
+        spec = HashSpec(SHA256, bits)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = build_tree(blocks, spec)
+            held, peak = (n - before for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert tree.height == 14
+        assert held <= limit, (bits, held)
+        assert peak <= 1.1 * held, (bits, held, peak)
+
+
 def test_node_payload_verifies_as_leaf():
     # Known weakness, pinned: leaves and nodes hash without a domain prefix
     # (RFC 6962 2.1 prefixes leaves with 0x00 and nodes with 0x01), so the
     # 64-byte concatenation of two leaf digests passes as a leaf one level up.
     blocks = [f"b{i}".encode() for i in range(4)]
     tree = build_tree(blocks, SPEC256)
-    payload = tree.levels[0][0] + tree.levels[0][1]
+    leaves = entries(tree.levels[0], SPEC256)
+    payload = leaves[0] + leaves[1]
     assert len(payload) == 64
     proof = generate_proof(tree, 0)
     lifted = MerkleProof(bits=256, leaf_index=0, steps=proof.steps[1:])

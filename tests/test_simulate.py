@@ -304,6 +304,25 @@ def test_ideal_experiment_memory_is_bounded():
     assert peak < 3 * T * m * 32 + (1 << 20)
 
 
+def test_draw_cap_counts_data_length():
+    # The cap is on draw bytes, not trials: 10^4 + 1 trials of 1600-byte
+    # data need 4 * (10^4 + 1) * 1600 bytes, one trial over the budget, and
+    # are refused before anything is drawn.
+    cfg = ExperimentConfig(
+        bits=2, path_len=0, trials_per_experiment=10**4 + 1, num_experiments=1,
+        data_length=1600,
+    )
+    assert 4 * cfg.trials_per_experiment * cfg.data_length > simulate.MAX_DRAW_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="--experiments"):
+            run_experiment(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_b1_m0_ideal_close_to_half():
     cfg = ExperimentConfig(
         bits=1, path_len=0, trials_per_experiment=1000, num_experiments=1,
