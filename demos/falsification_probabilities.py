@@ -32,18 +32,16 @@ exact = exact_falsification_prob(params)
 approx = approx_falsification_prob(params)
 
 print("b=2, m=10")
-print("  exact      :", format_sig(exact.value))
-print("  approx     :", format_sig(approx.value))
+print("  exact      :", format_sig(exact))
+print("  approx     :", format_sig(approx))
 print("  |diff|     :", format_sig(approximation_error(params).abs_diff))
 
-# The closed form also carries an exact rational when b*(m+1) is small
-# enough to keep the denominator manageable.
-print("  as fraction:", exact.exact_rational)
-
-# Term-sum evaluation (sum of 2^-b * (1-2^-b)^j) agrees exactly, term by
-# term, with the closed form -- a useful cross-check at small sizes.
-termsum = exact_falsification_prob_termsum(params)
-print("  termsum == closed form:", termsum.exact_rational == exact.exact_rational)
+# The literal term sum (sum of 2^-b * (1-2^-b)^j) is an exact Fraction at
+# small sizes (b <= 16), and it agrees exactly with the closed form written
+# out as a Fraction -- a useful cross-check.
+termsum = exact_falsification_prob_termsum(params).exact_rational
+print("  as fraction:", termsum)
+print("  termsum == closed form:", termsum == 1 - Fraction(3, 4) ** 11)
 
 # --- where the approximation dies ----------------------------------------
 
@@ -81,5 +79,5 @@ wide = exact_falsification_prob(PathParams(256, 10**6))
 first_order = Fraction(10**6 + 1, 1 << 256)
 print()
 print("b=256, m=1e6:")
-print("  exact       :", format_sig(wide.value))
+print("  exact       :", format_sig(wide))
 print("  (m+1)*2^-256:", format_sig(first_order))

@@ -12,7 +12,11 @@ In a fully truncated tree the siblings themselves are b-bit values.  At
 small b that leaves only 2^b distinct sibling values and 2^b running-node
 values: the same (node, sibling) fold input recurs across levels, the hash
 is evaluated once and reused, and levels stop being independent.  The
-"truncated" sibling mode reproduces that regime.
+"truncated" sibling mode reproduces that regime.  The dependence can pull
+the match rate either way: below the closed form at b=2, m=10 here, above
+it at b=3, m=10 with SHA-256 (0.8250 against 0.7698 over 40 000 trials at
+seed 0).  An exact reference for this mode is open: ROADMAP.md item 3, a
+Markov chain over the fold inputs.
 """
 
 from merkle_falsify import ExperimentConfig, run_grid
@@ -44,8 +48,9 @@ def compare(bits: int, **common) -> None:
 compare(2, oracle_kind="ideal")
 
 print()
-print("wide matches the closed form; truncated undershoots it badly --")
-print("repeated fold inputs cannot produce new collision opportunities.")
+print("wide matches the closed form; truncated misses it by many standard")
+print("errors -- repeated fold inputs make levels dependent, which pulls the")
+print("rate away from the closed form, here below it, at other cells above it.")
 print()
 
 # The dependence fades as b grows: at b=8 there are 256 sibling values,

@@ -84,9 +84,9 @@ def _read_blocks(path) -> list[bytes]:
 def cmd_prob(args) -> int:
     params = PathParams(args.bits, args.path_len)
     if args.which == "exact":
-        value = exact_falsification_prob(params).value
+        value = exact_falsification_prob(params)
     elif args.which == "approx":
-        value = approx_falsification_prob(params).value
+        value = approx_falsification_prob(params)
     else:
         value = approximation_error(params).abs_diff
     print(format_sig(value))

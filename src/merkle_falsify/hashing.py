@@ -130,7 +130,6 @@ class OracleState:
         # bool is an int subclass, but True is not a seed.
         if type(seed) is not int or not 0 <= seed < (1 << 64):
             raise ValueError(f"oracle seed must be a 64-bit unsigned integer, got {seed!r}")
-        self.seed = seed
         self._prefix = seed.to_bytes(8, "big")
         self._draws = 0
 

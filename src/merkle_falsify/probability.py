@@ -10,8 +10,9 @@ each chance hits with probability ``2^-b``, so
 
 The exact form is evaluated in the log domain (``log1p``/``expm1``) at
 ``PRECISION_DPS`` significant digits, so it survives ``2^-b`` being far
-below double-precision resolution.  An exact ``Fraction`` companion is
-attached while the numerators stay small (``b * (m+1) <= 4096`` bits).
+below double-precision resolution.  The literal term sum is the one exact
+evaluation: ``exact_falsification_prob_termsum`` adds the ``m + 1`` terms
+as one ``Fraction``, a cross-check of the closed form at small scales.
 The approximation is reported raw: it exceeds 1 for small ``b`` and large
 ``m`` and is a diagnostic of the expansion, not a probability.
 
@@ -45,17 +46,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from mpmath import mpf
 
-# Stated working precision for Probability values; computations carry a few
+# Stated working precision of the closed forms; computations carry a few
 # guard digits on top.
 PRECISION_DPS = 64
 _GUARD_DPS = 8
 
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
-
-# Populate the exact rational companion only while the numerator of
-# (2^b - 1)^(m+1) / 2^(b(m+1)) stays below this many bits.
-RATIONAL_BITS_LIMIT = 4096
 
 # Grids reproducing the published difference table.
 DEFAULT_BITS = (2, 4, 6, 8, 10)
@@ -85,10 +82,9 @@ class PathParams:
 
 @dataclass(frozen=True)
 class Probability:
-    """High-precision probability value, optionally with an exact rational."""
+    """An exact probability, as the literal term sum gives it."""
 
-    value: mpf
-    exact_rational: Fraction | None = None
+    exact_rational: Fraction
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,8 @@ class FalsificationEstimate:
     """Exact and approximate probabilities for one cell, and their gap."""
 
     params: PathParams
-    exact: Probability
-    approx: Probability
+    exact: mpf
+    approx: mpf
     abs_diff: mpf
 
 
@@ -111,7 +107,7 @@ def _width_terms(bits: int) -> tuple[mpf, mpf, mpf]:
         return x, mpmath.log1p(-x), mpmath.exp(-x)
 
 
-def exact_falsification_prob(params: PathParams) -> Probability:
+def exact_falsification_prob(params: PathParams) -> mpf:
     """Exact match probability 1 - (1 - 2^-b)^(m+1).
 
     Evaluated as -expm1((m+1) * log1p(-2^-b)) so no precision is lost when
@@ -122,11 +118,7 @@ def exact_falsification_prob(params: PathParams) -> Probability:
     b, m = params.bits, params.path_len
     _, log1p_neg_x, _ = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        value = -mpmath.expm1((m + 1) * log1p_neg_x)
-    rational = None
-    if b * (m + 1) <= RATIONAL_BITS_LIMIT:
-        rational = 1 - Fraction((1 << b) - 1, 1 << b) ** (m + 1)
-    return Probability(value, rational)
+        return -mpmath.expm1((m + 1) * log1p_neg_x)
 
 
 def exact_falsification_prob_float(params: PathParams) -> float:
@@ -147,8 +139,6 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     Cross-check oracle for the closed form; guarded to small scales because
     the numerators grow by b bits with every level.
     """
-    import mpmath
-
     b, m = params.bits, params.path_len
     if b > TERMSUM_MAX_BITS or m > TERMSUM_MAX_PATH_LEN:
         raise ValueError(
@@ -161,13 +151,10 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     for _ in range(m + 1):
         num = (num << b) + q_k
         q_k *= q
-    total = Fraction(num, 1 << (b * (m + 1)))
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        value = mpmath.mpf(total.numerator) / mpmath.mpf(total.denominator)
-    return Probability(value, total)
+    return Probability(Fraction(num, 1 << (b * (m + 1))))
 
 
-def approx_falsification_prob(params: PathParams) -> Probability:
+def approx_falsification_prob(params: PathParams) -> mpf:
     """Exponential approximation 2^-b + exp(-2^-b) - exp(-(m+1) * 2^-b).
 
     Computed as 2^-b - exp(-x) * expm1(-m*x), which is the same expression
@@ -179,8 +166,7 @@ def approx_falsification_prob(params: PathParams) -> Probability:
     b, m = params.bits, params.path_len
     x, _, exp_neg_x = _width_terms(b)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        value = x - exp_neg_x * mpmath.expm1(-m * x)
-    return Probability(value, None)
+        return x - exp_neg_x * mpmath.expm1(-m * x)
 
 
 def approximation_error(params: PathParams) -> FalsificationEstimate:
@@ -190,7 +176,7 @@ def approximation_error(params: PathParams) -> FalsificationEstimate:
     exact = exact_falsification_prob(params)
     approx = approx_falsification_prob(params)
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        diff = abs(approx.value - exact.value)
+        diff = abs(approx - exact)
     return FalsificationEstimate(params, exact, approx, diff)
 
 

@@ -23,16 +23,16 @@ SIMULATION_HEADER = (
 )
 
 
-def format_sig(x, digits: int = SIG_DIGITS) -> str:
-    """Decimal string with the given significant digits, '.' separator, no grouping."""
+def format_sig(x) -> str:
+    """Decimal string with SIG_DIGITS significant digits, '.' separator, no grouping."""
     import mpmath
 
-    with mpmath.workdps(digits + 10):
+    with mpmath.workdps(SIG_DIGITS + 10):
         if isinstance(x, Fraction):
             x = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
         else:
             x = mpmath.mpf(x)
-        return mpmath.nstr(x, digits, strip_zeros=True)
+        return mpmath.nstr(x, SIG_DIGITS, strip_zeros=True)
 
 
 def simulation_row(
@@ -62,8 +62,8 @@ class ReportTable:
             (
                 str(e.params.bits),
                 str(e.params.path_len),
-                format_sig(e.exact.value),
-                format_sig(e.approx.value),
+                format_sig(e.exact),
+                format_sig(e.approx),
                 format_sig(e.abs_diff),
             )
             for e in ordered

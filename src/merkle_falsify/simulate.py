@@ -60,6 +60,7 @@ import hashlib
 import os
 import string
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
@@ -74,9 +75,11 @@ _ALPHABET_BYTES = ALPHABET.encode("ascii")
 WIDE = "wide"
 TRUNCATED = "truncated"
 
-# Bytes one experiment's draws may take: four trials x data_length uint8
-# arrays, so 10**6 trials at the default data_length of 16.  A larger total
-# is spread over more experiments.
+# Length of every base and substitute datum, in alphabet characters.
+DATA_LENGTH = 16
+
+# Bytes one experiment's draws may take: four trials x DATA_LENGTH uint8
+# arrays, so 10**6 trials.  A larger total is spread over more experiments.
 MAX_DRAW_BYTES = 64 * 10**6
 
 # Width of a wide path element; matches the full SHA-256 digest.
@@ -94,7 +97,6 @@ class ExperimentConfig:
     path_len: int
     trials_per_experiment: int = 1000
     num_experiments: int = 100
-    data_length: int = 16
     oracle_kind: str = SHA256
     sibling_mode: str = WIDE
     master_seed: int = 0
@@ -108,8 +110,6 @@ class ExperimentConfig:
             raise ValueError("trials_per_experiment must be >= 1")
         if type(self.num_experiments) is not int or self.num_experiments < 1:
             raise ValueError("num_experiments must be >= 1")
-        if type(self.data_length) is not int or self.data_length < 1:
-            raise ValueError("data_length must be >= 1")
         if self.sibling_mode not in (WIDE, TRUNCATED):
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
         if type(self.master_seed) is not int or not 0 <= self.master_seed < (1 << 64):
@@ -152,13 +152,12 @@ def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: in
 
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     """Match count for one seeded batch of trials_per_experiment trials."""
-    draw_bytes = 4 * config.trials_per_experiment * config.data_length
+    draw_bytes = 4 * config.trials_per_experiment * DATA_LENGTH
     if draw_bytes > MAX_DRAW_BYTES:
         raise ValueError(
-            f"trials_per_experiment {config.trials_per_experiment} at data_length "
-            f"{config.data_length} needs {draw_bytes} bytes of draws, above "
-            f"{MAX_DRAW_BYTES}; spread the trials over more experiments "
-            "(--experiments)"
+            f"trials_per_experiment {config.trials_per_experiment} needs "
+            f"{draw_bytes} bytes of draws, above {MAX_DRAW_BYTES}; spread the "
+            "trials over more experiments (--experiments)"
         )
     # The index is part of the seed text, so 1.0 or True would silently
     # draw a different stream than 1.
@@ -176,7 +175,7 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
 
     trials = config.trials_per_experiment
     m = config.path_len
-    length = config.data_length
+    length = DATA_LENGTH
     width = config.sibling_nbytes
 
     # Fixed draw order: path bytes, base data, substitute data, resamples.
@@ -263,7 +262,7 @@ def cell_statistics(
     (0 where std_error is 0)."""
     import mpmath
 
-    exact = exact_falsification_prob(PathParams(bits, path_len)).value
+    exact = exact_falsification_prob(PathParams(bits, path_len))
     with mpmath.workdps(PRECISION_DPS):
         std_error = mpmath.sqrt(exact * (1 - exact) / total_trials)
         z = (
@@ -290,35 +289,37 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     """One CellResult per config, in order; independent of worker count.
 
     Experiments fan out over a process pool of at most
-    min(workers, number of experiments, CPU count) processes; counts are
-    merged back in (config, experiment_index) order.
+    min(workers, number of experiments, CPU count) processes; counts come
+    back in (config, experiment_index) order, and each cell is summed as its
+    counts arrive, so the serial path holds no per-experiment list.
     """
     if not configs:
         raise ValueError("run_grid needs at least one config")
     if type(workers) is not int or workers < 1:
         raise ValueError("workers must be >= 1")
-    tasks = [(config, k) for config in configs for k in range(config.num_experiments)]
+    tasks = ((config, k) for config in configs for k in range(config.num_experiments))
+    num_tasks = sum(config.num_experiments for config in configs)
     # The pool starts all of its processes up front, so never ask for more
     # than there are tasks or CPUs to run them.
-    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    pool_size = min(workers, num_tasks, os.cpu_count() or 1)
     if pool_size == 1:
-        counts = [run_experiment(config, k) for config, k in tasks]
-    else:
-        # numpy first, so that forked workers inherit it and none imports it
-        # again (see the module docstring).
-        import numpy  # noqa: F401
-        from concurrent.futures import ProcessPoolExecutor
+        return _sum_cells(configs, map(_run_task, tasks))
+    # numpy first, so that forked workers inherit it and none imports it
+    # again (see the module docstring).
+    import numpy  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunk = max(1, len(tasks) // (4 * pool_size))
-            counts = list(pool.map(_run_task, tasks, chunksize=chunk))
-    cells = []
-    at = 0
-    for config in configs:
-        matches = sum(counts[at : at + config.num_experiments])
-        at += config.num_experiments
-        cells.append(_finalize_cell(config, matches))
-    return cells
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        chunk = max(1, num_tasks // (4 * pool_size))
+        return _sum_cells(configs, pool.map(_run_task, tasks, chunksize=chunk))
+
+
+def _sum_cells(configs: list[ExperimentConfig], counts) -> list[CellResult]:
+    """Each config's CellResult from the next num_experiments of ``counts``."""
+    return [
+        _finalize_cell(config, sum(islice(counts, config.num_experiments)))
+        for config in configs
+    ]
 
 
 def build_grid(

@@ -66,8 +66,8 @@ def test_criterion_2_constant_diff_saturation():
         stable = abs(d500 - d1000) < mpf(10) ** -50
         # saturation mechanics: approx -> 1/4 + e^(-1/4), exact -> 1
         approx_limit = mpf(1) / 4 + mpmath.exp(mpf(-1) / 4)
-        approx_ok = abs(approx_falsification_prob(PathParams(2, 1000)).value - approx_limit) < mpf(10) ** -50
-        exact_ok = float(exact_falsification_prob(PathParams(2, 1000)).value) == 1.0
+        approx_ok = abs(approx_falsification_prob(PathParams(2, 1000)) - approx_limit) < mpf(10) ** -50
+        exact_ok = float(exact_falsification_prob(PathParams(2, 1000))) == 1.0
     _gate(
         2,
         "diff(2,500) == diff(2,1000) == 0.0288007830714048",
@@ -200,11 +200,11 @@ def test_criterion_8_precision_stress():
     p = exact_falsification_prob(PathParams(256, 10**6))
     with mpmath.workdps(80):
         first_order = (10**6 + 1) * mpf(2) ** -256
-        rel = float(abs(p.value / first_order - 1))
+        rel = float(abs(p / first_order - 1))
     _gate(
         8,
         "exact(256, 1e6) = (1e6+1) * 2^-256 to 1e-9 relative, no underflow",
-        p.value > 0 and rel <= 1e-9,
+        p > 0 and rel <= 1e-9,
         f"rel err {rel:.2e}",
     )
 

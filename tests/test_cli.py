@@ -86,7 +86,7 @@ def test_simulate_trials_cap(tmp_path, capsys):
     try:
         rc = main([
             "simulate", "--bits", "2", "--path-lens", "1", "--experiments", "1",
-            # 64 draw bytes per trial at the default data_length of 16
+            # 64 draw bytes per trial at simulate.DATA_LENGTH = 16
             "--trials", str(MAX_DRAW_BYTES // 64 + 1), "--output", str(out),
         ])
         peak = tracemalloc.get_traced_memory()[1]

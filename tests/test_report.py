@@ -37,7 +37,7 @@ def test_format_sig_plain_values():
 def test_format_sig_17_digits():
     from merkle_falsify.probability import exact_falsification_prob
 
-    value = exact_falsification_prob(PathParams(2, 10)).value
+    value = exact_falsification_prob(PathParams(2, 10))
     assert format_sig(value) == "0.95776486396789551"
 
 

@@ -63,14 +63,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, num_experiments=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(bits=2, path_len=0, data_length=0)
-    with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, sibling_mode="narrow")
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, master_seed=1 << 64)
     # counts are integers by type: floats and bools are rejected up front
     # rather than failing later inside run_experiment or rng.integers
-    for field in ("trials_per_experiment", "num_experiments", "data_length", "master_seed"):
+    for field in ("trials_per_experiment", "num_experiments", "master_seed"):
         for bad in (2.5, True):
             with pytest.raises(ValueError):
                 ExperimentConfig(bits=2, path_len=0, **{field: bad})
@@ -96,7 +94,7 @@ def _one_shot_draws(cfg: ExperimentConfig, experiment_index: int):
     # in truncated mode), base data, substitute data, per-row resamples
     spec = cfg.hash_spec()
     rng = np.random.default_rng(_seed("seed", cfg, experiment_index))
-    m, width, length = cfg.path_len, cfg.sibling_nbytes, cfg.data_length
+    m, width, length = cfg.path_len, cfg.sibling_nbytes, simulate.DATA_LENGTH
     trials = cfg.trials_per_experiment
     blob = rng.bytes(trials * m * width) if m else b""
     if cfg.sibling_mode == TRUNCATED and cfg.bits % 8:
@@ -304,15 +302,15 @@ def test_ideal_experiment_memory_is_bounded():
     assert peak < 3 * T * m * 32 + (1 << 20)
 
 
-def test_draw_cap_counts_data_length():
+def test_draw_cap_counts_data_length(monkeypatch):
     # The cap is on draw bytes, not trials: 10^4 + 1 trials of 1600-byte
     # data need 4 * (10^4 + 1) * 1600 bytes, one trial over the budget, and
     # are refused before anything is drawn.
+    monkeypatch.setattr(simulate, "DATA_LENGTH", 1600)
     cfg = ExperimentConfig(
         bits=2, path_len=0, trials_per_experiment=10**4 + 1, num_experiments=1,
-        data_length=1600,
     )
-    assert 4 * cfg.trials_per_experiment * cfg.data_length > simulate.MAX_DRAW_BYTES
+    assert 4 * cfg.trials_per_experiment * simulate.DATA_LENGTH > simulate.MAX_DRAW_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="--experiments"):
@@ -335,12 +333,13 @@ def test_b1_m0_ideal_close_to_half():
     assert cell.matches == 487
 
 
-def test_resample_guard_single_char_data():
+def test_resample_guard_single_char_data(monkeypatch):
     # with 1-char data and a 16-bit hash, base/substitute collisions would
     # add ~1/62 of false matches if the guard were missing
+    monkeypatch.setattr(simulate, "DATA_LENGTH", 1)
     cfg = ExperimentConfig(
         bits=16, path_len=0, trials_per_experiment=20_000, num_experiments=1,
-        data_length=1, master_seed=3,
+        master_seed=3,
     )
     cell = run_grid([cfg])[0]
     assert cell.matches < 100
@@ -421,6 +420,25 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     assert [c.matches for c in run_grid(forty, workers=1000)] == serial
     assert requested == []  # one usable CPU runs in-process
+
+
+def test_serial_run_grid_memory_is_independent_of_experiments(monkeypatch):
+    # The serial path sums each cell as its counts arrive, so its peak does
+    # not grow with the number of experiments (a per-experiment list of
+    # tasks and counts costs about 100 B each: ~10 MB at 10^5).
+    monkeypatch.setattr(simulate, "run_experiment", lambda config, k: 0)
+
+    def peak(experiments: int) -> int:
+        configs = [ExperimentConfig(bits=2, path_len=1, num_experiments=experiments)]
+        tracemalloc.start()
+        try:
+            assert run_grid(configs)[0].matches == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm-up: imports and per-width caches
+    assert abs(peak(10**5) - peak(10**3)) < 64 * 1024
 
 
 def test_run_grid_validation():
