@@ -8,21 +8,46 @@ each chance hits with probability ``2^-b``, so
     exact   P(b, m) = 1 - (1 - 2^-b)^(m+1)
     approx  P(b, m) ~ 2^-b + exp(-2^-b) - exp(-(m+1) * 2^-b)
 
-The exact form is evaluated in the log domain (``log1p``/``expm1``) at
-``PRECISION_DPS`` significant digits, so it survives ``2^-b`` being far
-below double-precision resolution.  The literal term sum is the one exact
+The exact form is evaluated in the log domain, as
+``-expm1((m+1) * log1p(-2^-b))``, so it survives ``2^-b`` being far below
+double-precision resolution.  The literal term sum is the one exact
 evaluation: ``exact_falsification_prob_termsum`` adds the ``m + 1`` terms
 as one ``Fraction``, a cross-check of the closed form at small scales.
 The approximation is reported raw: it exceeds 1 for small ``b`` and large
 ``m`` and is a diagnostic of the expansion, not a probability.
 
+Both closed forms and their difference are computed on mpmath's raw
+``libmp`` tuples at ``_PREC_BITS`` = 243 bits, the binary precision of
+``PRECISION_DPS + _GUARD_DPS`` = 72 digits, each operation rounded to
+nearest.  No mpmath context is read or written, so a caller's ``mp.prec``
+neither changes a value nor is changed by one.
+
+``_expm1`` serves both forms, whose arguments ``y`` are never positive.
+Below ``2^-(prec+10)`` in magnitude it returns ``y + y^2/2``, as mpmath's
+``expm1`` does.  Otherwise it evaluates ``exp(y)`` at
+``wp = prec + 35 + max(0, -mag(y))`` bits and subtracts 1 at ``wp`` bits.
+Where ``|y| < 1``, ``exp(y) - 1`` is about ``2^mag(y)`` in magnitude, so
+the subtraction cancels about ``-mag(y)`` leading bits of ``exp(y)``; the
+``max`` term pays for them and leaves 35 bits beyond ``prec``.  Where
+``y <= -1`` the difference lies in ``(-1, 1/e - 1]`` and nothing cancels.
+Either way the difference is within ``2^(2-wp)`` of ``exp(y) - 1``, and it
+is returned only if both ends of that interval round alike to ``prec``
+bits, so the result is correctly rounded.  If they do not, the value lies
+within about ``2^-35`` of an ulp of a rounding boundary, and ``exp`` is
+evaluated again with twice the guard bits.  The arguments here,
+``(m+1) * log1p(-2^-b)`` and ``-m * 2^-b``, have short binary expansions
+that put about 0.3 % of random cells there, and no cell of bits 1..32 by
+path lengths up to 10^6.  mpmath's own ``expm1`` evaluates ``exp`` twice
+whenever ``|y|`` is below about ``2^-10``: once to measure the
+cancellation and again at a precision that covers it.
+
 The terms that depend on ``b`` alone -- ``x = 2^-b``, ``log1p(-x)`` and
 ``exp(-x)`` -- are computed once per width and kept in a bounded
 ``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries, so a table over many path
-lengths pays one ``expm1`` per cell and function.  Caching changes no
-value: the terms are evaluated inside their own ``workdps`` at the
+lengths pays one ``exp`` per cell and function.  They are made with
+mpmath's ``log1p`` and ``exp`` inside their own ``workdps`` at the
 formulas' precision, whatever precision the caller has set, so a cached
-term is the very ``mpf`` an uncached evaluation gives.
+term is the very tuple an uncached evaluation gives.
 
 ``exact_falsification_prob_float`` is the same closed form at double
 precision, for callers that only draw the value (the figure's curve).
@@ -50,6 +75,8 @@ if TYPE_CHECKING:
 # guard digits on top.
 PRECISION_DPS = 64
 _GUARD_DPS = 8
+# The same precision in bits, as mpmath.libmp.dps_to_prec gives it (243).
+_PREC_BITS = round((PRECISION_DPS + _GUARD_DPS + 1) * math.log2(10))
 
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
@@ -98,13 +125,36 @@ class FalsificationEstimate:
 
 
 @lru_cache(maxsize=_WIDTH_TERMS_CACHE)
-def _width_terms(bits: int) -> tuple[mpf, mpf, mpf]:
-    """(x, log1p(-x), exp(-x)) for x = 2^-bits, at the formulas' precision."""
+def _width_terms(bits: int) -> tuple[tuple, tuple, tuple]:
+    """(x, log1p(-x), exp(-x)) for x = 2^-bits as raw mpf tuples, at the
+    formulas' precision."""
     import mpmath
 
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
         x = mpmath.mpf(2) ** (-bits)
-        return x, mpmath.log1p(-x), mpmath.exp(-x)
+        return x._mpf_, mpmath.log1p(-x)._mpf_, mpmath.exp(-x)._mpf_
+
+
+def _expm1(y: tuple, prec: int) -> tuple:
+    """exp(y) - 1 for a raw mpf y <= 0, correctly rounded to nearest at prec bits."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    if y == libmp.fzero:
+        return y
+    mag = y[2] + y[3]
+    if mag < -(prec + 10):
+        return libmp.mpf_add(y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, rnd)
+    wp = prec + 35 + max(0, -mag)
+    while True:
+        d = libmp.mpf_sub(libmp.mpf_exp(y, wp, rnd), libmp.fone, wp, rnd)
+        # exp(y) <= 1 and |d| < 1 each carry at most 2^-wp of error
+        err = (0, libmp.MPZ_ONE, 2 - wp, 1)  # 2^(2-wp)
+        lo = libmp.mpf_sub(d, err, prec, rnd)
+        if lo == libmp.mpf_add(d, err, prec, rnd):
+            return lo
+        wp += wp - prec  # the guard bits left a rounding boundary in reach
 
 
 def exact_falsification_prob(params: PathParams) -> mpf:
@@ -115,10 +165,12 @@ def exact_falsification_prob(params: PathParams) -> mpf:
     """
     import mpmath
 
-    b, m = params.bits, params.path_len
-    _, log1p_neg_x, _ = _width_terms(b)
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        return -mpmath.expm1((m + 1) * log1p_neg_x)
+    libmp = mpmath.libmp
+    _, log1p_neg_x, _ = _width_terms(params.bits)
+    y = libmp.mpf_mul_int(
+        log1p_neg_x, params.path_len + 1, _PREC_BITS, libmp.round_nearest
+    )
+    return mpmath.mp.make_mpf(libmp.mpf_neg(_expm1(y, _PREC_BITS)))
 
 
 def exact_falsification_prob_float(params: PathParams) -> float:
@@ -163,21 +215,25 @@ def approx_falsification_prob(params: PathParams) -> mpf:
     """
     import mpmath
 
-    b, m = params.bits, params.path_len
-    x, _, exp_neg_x = _width_terms(b)
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        return x - exp_neg_x * mpmath.expm1(-m * x)
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    x, _, exp_neg_x = _width_terms(params.bits)
+    y = libmp.mpf_mul_int(x, -params.path_len, _PREC_BITS, rnd)
+    folded = libmp.mpf_mul(exp_neg_x, _expm1(y, _PREC_BITS), _PREC_BITS, rnd)
+    return mpmath.mp.make_mpf(libmp.mpf_sub(x, folded, _PREC_BITS, rnd))
 
 
 def approximation_error(params: PathParams) -> FalsificationEstimate:
     """Exact and approximate values side by side with |approx - exact|."""
     import mpmath
 
+    libmp = mpmath.libmp
     exact = exact_falsification_prob(params)
     approx = approx_falsification_prob(params)
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        diff = abs(approx - exact)
-    return FalsificationEstimate(params, exact, approx, diff)
+    diff = libmp.mpf_sub(approx._mpf_, exact._mpf_, _PREC_BITS, libmp.round_nearest)
+    return FalsificationEstimate(
+        params, exact, approx, mpmath.mp.make_mpf(libmp.mpf_abs(diff))
+    )
 
 
 def validate_grid(bits_list, path_lens) -> None:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 SIG_DIGITS = 17
+# format_sig's working precision: SIG_DIGITS + 10 digits in bits, as
+# mpmath.libmp.dps_to_prec gives it (93).
+_SIG_BITS = round((SIG_DIGITS + 10 + 1) * math.log2(10))
 
 TABLE_HEADER = ("b", "m", "exact", "approx", "abs_diff")
 SIMULATION_HEADER = (
@@ -24,15 +28,36 @@ SIMULATION_HEADER = (
 
 
 def format_sig(x) -> str:
-    """Decimal string with SIG_DIGITS significant digits, '.' separator, no grouping."""
+    """Decimal string with SIG_DIGITS significant digits, '.' separator, no grouping.
+
+    x is an mpmath ``mpf``, a ``Fraction``, a float or an int.  It is first
+    rounded to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is rounded, a
+    float or an int is converted at that precision (a float exactly), and a
+    ``Fraction`` has its numerator and its denominator each rounded before
+    their quotient is.  mpmath's ``to_str`` then prints SIG_DIGITS digits,
+    trailing zeros stripped.  These are the steps of
+    ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
+    ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples, so no mpmath
+    context is read or written.
+    """
     import mpmath
 
-    with mpmath.workdps(SIG_DIGITS + 10):
-        if isinstance(x, Fraction):
-            x = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        else:
-            x = mpmath.mpf(x)
-        return mpmath.nstr(x, SIG_DIGITS, strip_zeros=True)
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    if isinstance(x, Fraction):
+        v = libmp.mpf_div(
+            libmp.from_int(x.numerator, _SIG_BITS, rnd),
+            libmp.from_int(x.denominator, _SIG_BITS, rnd),
+            _SIG_BITS,
+            rnd,
+        )
+    elif isinstance(x, float):
+        v = libmp.from_float(x, _SIG_BITS, rnd)
+    elif isinstance(x, int):
+        v = libmp.from_int(x, _SIG_BITS, rnd)
+    else:
+        v = libmp.mpf_pos(x._mpf_, _SIG_BITS, rnd)
+    return libmp.to_str(v, SIG_DIGITS, strip_zeros=True)
 
 
 def simulation_row(

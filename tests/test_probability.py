@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import libmp, mpf
 
 from merkle_falsify import probability
 from merkle_falsify.probability import (
@@ -26,6 +26,22 @@ from frozen_values import EXACT_10_10_DECIMAL, REFERENCE_DIFFS
 def closed_form_rational(b: int, m: int) -> Fraction:
     # independent closed form for cross-checks
     return 1 - (1 - Fraction(1, 1 << b)) ** (m + 1)
+
+
+def closed_forms_500(b: int, m: int) -> tuple[mpf, mpf]:
+    """(exact, approx) from the formulas' own 243-bit per-width terms and
+    expm1 arguments, with each expm1 taken at 500 digits and the result of
+    every step rounded to the formulas' precision."""
+    with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
+        x = mpf(2) ** -b
+        y_exact = (m + 1) * mpmath.log1p(-x)
+        y_approx = -m * x
+        exp_neg_x = mpmath.exp(-x)
+    with mpmath.workdps(500):
+        expm1_exact = mpmath.expm1(y_exact)
+        expm1_approx = mpmath.expm1(y_approx)
+    with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
+        return -(+expm1_exact), x - exp_neg_x * (+expm1_approx)
 
 
 def assert_near_rational(value, r: Fraction):
@@ -226,10 +242,7 @@ def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
     # The per-width terms are cached on the first call for a width; made
     # under a caller's low or high working precision, that call must still
     # cache the terms at the formulas' own precision.
-    with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
-        x = mpf(2) ** -b
-        exact = -mpmath.expm1((m + 1) * mpmath.log1p(-x))
-        approx = x - mpmath.exp(-x) * mpmath.expm1(-m * x)
+    exact, approx = closed_forms_500(b, m)
     probability._width_terms.cache_clear()
     params = PathParams(b, m)
     with mpmath.workdps(caller_dps):
@@ -237,6 +250,49 @@ def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
     assert first == (exact, approx)
     assert exact_falsification_prob(PathParams(b, m)) == exact
     assert approx_falsification_prob(PathParams(b, m)) == approx
+
+
+@given(b=st.integers(min_value=1, max_value=300), m=st.integers(min_value=0, max_value=10**15))
+@example(b=1, m=0)
+@example(b=64, m=0)
+@example(b=1, m=10**18)
+@example(b=256, m=0)
+@example(b=256, m=10)
+@example(b=300, m=10**9)
+@example(b=78, m=1486)  # mpmath's own expm1 at 72 digits is 1 ulp off here
+# expm1 values within 2^-35 of an ulp of a rounding boundary: 35 guard bits
+# do not decide these, the approx at the first two and the exact at the rest
+@example(b=118, m=81)
+@example(b=78, m=79)
+@example(b=238, m=73)
+@example(b=198, m=89011869679925)
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_are_correctly_rounded(b, m):
+    # Each expm1 is rounded once, correctly, so both forms equal the same
+    # steps taken with a 500-digit expm1; abs_diff is the 243-bit |approx - exact|.
+    want_exact, want_approx = closed_forms_500(b, m)
+    got = approximation_error(PathParams(b, m))
+    assert got.exact == exact_falsification_prob(PathParams(b, m)) == want_exact
+    assert got.approx == approx_falsification_prob(PathParams(b, m)) == want_approx
+    with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
+        assert got.abs_diff == abs(got.approx - got.exact)
+    # log1p(-2^-b) and (m + 1) * log1p(-2^-b) are rounded at 243 bits before
+    # the expm1, so against the closed forms taken wholly at 500 digits each
+    # value keeps an error of up to 2.5 units in its last place.
+    with mpmath.workdps(500):
+        x = mpf(2) ** -b
+        for got_value, true in (
+            (got.exact, -mpmath.expm1((m + 1) * mpmath.log1p(-x))),
+            (got.approx, x + mpmath.exp(-x) - mpmath.exp(-(m + 1) * x)),
+        ):
+            ulp = mpmath.ldexp(1, mpmath.mag(true) - probability._PREC_BITS)
+            assert abs(got_value - true) <= 2.5 * ulp, (b, m)
+
+
+def test_bit_precision_matches_digits():
+    assert probability._PREC_BITS == libmp.dps_to_prec(
+        probability.PRECISION_DPS + probability._GUARD_DPS
+    ) == 243
 
 
 def test_float_closed_form_tracks_mpmath():

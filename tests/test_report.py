@@ -3,14 +3,21 @@ import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import libmp, mpf
 
-from merkle_falsify import simulate
+from merkle_falsify import report, simulate
 from merkle_falsify.figure import read_simulation_csv, render_figure
-from merkle_falsify.probability import PathParams, approximation_error, diff_table
+from merkle_falsify.probability import (
+    PathParams,
+    approx_falsification_prob,
+    approximation_error,
+    diff_table,
+    exact_falsification_prob,
+)
 from merkle_falsify.report import (
     SIMULATION_HEADER,
     TABLE_HEADER,
@@ -45,6 +52,83 @@ def test_format_sig_small_values_use_exponent():
     out = format_sig(mpf("4.71585051471136e-6"))
     assert "e-6" in out
     assert float(out) == pytest.approx(4.71585051471136e-6, rel=1e-14)
+
+
+def _nstr_at_27_digits(x) -> str:
+    # mpmath's own conversion and printing under workdps(27)
+    with mpmath.workdps(27):
+        if isinstance(x, Fraction):
+            x = mpf(x.numerator) / mpf(x.denominator)
+        else:
+            x = mpf(x)
+        return mpmath.nstr(x, 17, strip_zeros=True)
+
+
+def _mpf_72(n: int, d: int) -> mpf:
+    with mpmath.workdps(72):
+        return mpf(n) / d
+
+
+_FORMAT_SIG_INPUTS = st.one_of(
+    st.fractions(min_value=-(2**200), max_value=2**200, max_denominator=2**200),
+    st.builds(Fraction, st.integers(1, 2**300), st.integers(1, 2**300)),
+    st.floats(),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.builds(_mpf_72, st.integers(-(10**80), 10**80), st.integers(1, 10**80)),
+)
+
+
+@given(_FORMAT_SIG_INPUTS)
+@example(Fraction(3**70, 5**50))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+@example(1.7976931348618157e308)
+@example(0.1)
+@example(0)
+@example(-(10**30) - 7)
+@example(mpmath.pi(dps=72))
+# Inputs whose printed digits change unless each is rounded to 93 bits
+# first: to_str reads 76 bits, and each lies just off a 76-bit point next
+# to a 17-digit halfway.  The numerator, the denominator, the int and the
+# mpf are each such an input.
+@example(Fraction(106677926831785015500000000000000000002908726, 3))
+@example(Fraction(820511101124607325703503872, 2**119 + 2**26 - 1))
+@example(208212732716620074999999999999999999999059448)
+@example(_mpf_72(18656262480467542575377 * (2**100 - 1), 2**177))
+@settings(max_examples=100, deadline=None)
+def test_format_sig_matches_nstr_at_27_digits(x):
+    assert format_sig(x) == _nstr_at_27_digits(x)
+
+
+def test_format_sig_bit_precision_matches_digits():
+    assert report._SIG_BITS == libmp.dps_to_prec(report.SIG_DIGITS + 10) == 93
+
+
+@pytest.mark.parametrize("caller_dps", [15, 200])
+def test_caller_precision_changes_no_value(caller_dps):
+    params = [PathParams(b, m) for b, m in ((2, 10), (78, 1486), (256, 10), (1, 10**18))]
+    values = [mpf("0.1"), Fraction(2**95 + 1, 3), 0.1, 10**30]
+
+    def run():
+        out = []
+        for p in params:
+            for value in (
+                exact_falsification_prob(p),
+                approx_falsification_prob(p),
+                approximation_error(p).abs_diff,
+            ):
+                out.append((value._mpf_, format_sig(value)))
+        out.extend(format_sig(v) for v in values)
+        return out
+
+    want = run()
+    with mpmath.workdps(caller_dps):
+        prec = mpmath.mp.prec
+        assert run() == want
+        assert mpmath.mp.prec == prec
 
 
 def test_table_from_estimates_sorted():
