@@ -12,7 +12,12 @@ The exact form is evaluated in the log domain, as
 ``-expm1((m+1) * log1p(-2^-b))``, so it survives ``2^-b`` being far below
 double-precision resolution.  The literal term sum is the one exact
 evaluation: ``exact_falsification_prob_termsum`` adds the ``m + 1`` terms
-as one ``Fraction``, a cross-check of the closed form at small scales.
+over their common denominator ``2^(b(m+1))`` and reduces the sum once, a
+cross-check of the closed form at small scales.  Horner's rule alone would
+shift the whole partial numerator, up to ``b(m+1)`` bits long, once per
+term, which is O(b * m^2) bit work; so runs of up to ``_TERMSUM_LEAF``
+consecutive terms are summed by Horner's rule and adjacent runs are merged
+pairwise, which keeps most shifts and products on short numbers.
 The approximation is reported raw: it exceeds 1 for small ``b`` and large
 ``m`` and is a diagnostic of the expansion, not a probability.
 
@@ -88,6 +93,10 @@ DEFAULT_PATH_LENS = (10, 50, 100, 500, 1000)
 # Scale guard for the literal term-by-term sum (cross-check oracle only).
 TERMSUM_MAX_BITS = 16
 TERMSUM_MAX_PATH_LEN = 4096
+# Longest run of terms the term sum adds by Horner's rule before it splits
+# the run in two.  Leaves of 16 to 128 terms time alike over the bench's
+# grid; leaves of one term, pure recursion, take twice as long.
+_TERMSUM_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -185,11 +194,23 @@ def exact_falsification_prob_float(params: PathParams) -> float:
 def exact_falsification_prob_termsum(params: PathParams) -> Probability:
     """Literal sum 1/2^b + sum_{k=1}^{m} (1 - 1/2^b)^k / 2^b, exact rationals.
 
-    Term k is (2^b - 1)^k / 2^(b(k+1)), so over the common denominator
-    2^(b(m+1)) its numerator is (2^b - 1)^k * 2^(b(m-k)).  The numerators are
-    summed term by term with Horner's rule and the sum is reduced once.
-    Cross-check oracle for the closed form; guarded to small scales because
-    the numerators grow by b bits with every level.
+    Term k is q^k / 2^(b(k+1)) with q = 2^b - 1, so over the common
+    denominator 2^(b(m+1)) its numerator is q^k * 2^(b(m-k)).  A run of n
+    consecutive terms, counted from its own first term, sums to
+    N(n) = sum_{k<n} q^k * 2^(b(n-1-k)).  A run of at most
+    ``_TERMSUM_LEAF`` terms is summed term by term with Horner's rule
+    (N <- N * 2^b + q^k); a longer one is split into a first run of n1
+    terms and a second of n2, which merge as
+    N(n1 + n2) = (N(n1) << b*n2) + q^n1 * N(n2): in the merged run, each
+    term of the first run carries 2^(b*n2) more than in N(n1), and each
+    term of the second carries q^n1 more than in N(n2).  The whole sum is
+    N(m + 1) over 2^(b(m+1)), reduced once.
+
+    Every term is added in its own leaf.  The doubling identity
+    N(2n) = N(n) * (2^(bn) + q^n) would reuse one half of the sum as the
+    other; it is the geometric-series step behind the closed form this sum
+    cross-checks, so it is not used.  Guarded to small scales because the
+    numerators grow by b bits with every level.
     """
     b, m = params.bits, params.path_len
     if b > TERMSUM_MAX_BITS or m > TERMSUM_MAX_PATH_LEN:
@@ -198,11 +219,20 @@ def exact_falsification_prob_termsum(params: PathParams) -> Probability:
             f"path_len <= {TERMSUM_MAX_PATH_LEN}, got ({b}, {m})"
         )
     q = (1 << b) - 1
-    num = 0
-    q_k = 1
-    for _ in range(m + 1):
-        num = (num << b) + q_k
-        q_k *= q
+
+    def run(n: int) -> int:
+        if n <= _TERMSUM_LEAF:
+            num = 0
+            q_k = 1
+            for _ in range(n):
+                num = (num << b) + q_k
+                q_k *= q
+            return num
+        n2 = n // 2
+        n1 = n - n2
+        return (run(n1) << (b * n2)) + q**n1 * run(n2)
+
+    num = run(m + 1)
     return Probability(Fraction(num, 1 << (b * (m + 1))))
 
 

@@ -110,16 +110,25 @@ def test_termsum_guard():
         exact_falsification_prob_termsum(PathParams(17, 10))
     with pytest.raises(ValueError):
         exact_falsification_prob_termsum(PathParams(4, 4097))
-    exact_falsification_prob_termsum(PathParams(16, 4096))
+    got = exact_falsification_prob_termsum(PathParams(16, 4096))
+    assert got.exact_rational == closed_form_rational(16, 4096)
 
 
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=80))
+@example(1, 4096)
+@example(16, 4095)
+@example(16, 4096)
 @settings(max_examples=60, deadline=None)
 def test_termsum_identity_property(b, m):
     assert exact_falsification_prob_termsum(PathParams(b, m)).exact_rational == closed_form_rational(b, m)
 
 
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=120))
+# m + 1 terms at one leaf, one past it, two leaves and one past two
+@example(16, probability._TERMSUM_LEAF - 1)
+@example(16, probability._TERMSUM_LEAF)
+@example(16, 2 * probability._TERMSUM_LEAF - 1)
+@example(16, 2 * probability._TERMSUM_LEAF)
 @settings(max_examples=60, deadline=None)
 def test_termsum_matches_per_term_fraction_sum(b, m):
     # the term-by-term sum written out with a Fraction per term
