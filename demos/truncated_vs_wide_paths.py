@@ -15,7 +15,7 @@ is evaluated once and reused, and levels stop being independent.  The
 "truncated" sibling mode reproduces that regime.  The dependence can pull
 the match rate either way: below the closed form at b=2, m=10 here, above
 it at b=3, m=10 with SHA-256 (0.8250 against 0.7698 over 40 000 trials at
-seed 0).  An exact reference for this mode is open: ROADMAP.md item 3, a
+seed 0).  An exact reference for this mode is open: ROADMAP.md item 5, a
 Markov chain over the fold inputs.
 """
 

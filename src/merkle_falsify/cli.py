@@ -34,10 +34,8 @@ SEED_ENV_VAR = "MERKLE_FALSIFY_SEED"
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
-    if not text:
-        raise ValueError(f"{name} must not be empty")
     try:
-        # An empty item, as in "2,,4" or "2,4,", fails int() like any non-integer.
+        # "", "2,,4" and "2,4," each hold an empty item, which fails int().
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{name} must be a comma-separated list of integers: {text!r}")

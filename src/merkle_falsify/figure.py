@@ -18,7 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import zip_longest
 
+from .hashing import _MAX_BITS, _MAX_SEED, SHA256, _require_int
 from .probability import PathParams, exact_falsification_prob_float
 # Unused here, but the benchmark's traced pass wraps figure.exact_falsification_prob.
 from .probability import exact_falsification_prob  # noqa: F401
@@ -61,7 +63,7 @@ def read_simulation_csv(text: str) -> list[dict]:
             f"unexpected CSV header {header!r}; want {SIMULATION_HEADER!r}"
         )
     rows = []
-    cells: dict[tuple[int, int], int] = {}  # (bits, path_len) -> row number
+    cells = []  # (row number, bits, path_len), in file order
     for k, raw in enumerate(reader):
         if not raw:
             continue
@@ -74,20 +76,11 @@ def read_simulation_csv(text: str) -> list[dict]:
             )
         except ValueError as exc:
             raise ValueError(f"row {n} is not numeric: {exc}") from exc
-        if total_trials < 1:
-            raise ValueError(f"row {n} has total_trials {total_trials} < 1")
-        if not 0 <= matches <= total_trials:
-            raise ValueError(f"row {n} has matches {matches} outside 0..{total_trials}")
-        if not 1 <= bits <= 256:
-            raise ValueError(f"row {n} has bits {bits} outside 1..256")
-        if path_len < 0:
-            raise ValueError(f"row {n} has path_len {path_len} < 0")
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"row {n} has seed {seed} outside 0..2^64 - 1")
-        if (bits, path_len) in cells:
-            first = cells[bits, path_len]
-            raise ValueError(f"row {n} repeats bits {bits}, path_len {path_len} from row {first}")
-        cells[bits, path_len] = n
+        _require_int(f"row {n} total_trials", total_trials, 1)
+        _require_int(f"row {n} matches", matches, 0, total_trials)
+        _require_int(f"row {n} bits", bits, 1, _MAX_BITS[SHA256])
+        _require_int(f"row {n} path_len", path_len, 0)
+        _require_int(f"row {n} seed", seed, 0, _MAX_SEED)
         if rows and (seed, total_trials) != (rows[0]["seed"], rows[0]["total_trials"]):
             raise ValueError(
                 f"row {n} has seed {seed}, total_trials {total_trials}; the first row has "
@@ -102,20 +95,26 @@ def read_simulation_csv(text: str) -> list[dict]:
                 )
         values = (bits, path_len, total_trials, matches, float(raw[4]), *stats, seed)
         rows.append(dict(zip(header, values)))
+        cells.append((n, bits, path_len))
     if not rows:
         raise ValueError("CSV has no data rows")
     grid = [
         (b, m)
-        for b in sorted({b for b, _ in cells})
-        for m in sorted({m for _, m in cells})
+        for b in sorted({b for _, b, _ in cells})
+        for m in sorted({m for _, _, m in cells})
     ]
-    for b, m in grid:
-        if (b, m) not in cells:
+    for cell, want in zip_longest(cells, grid):
+        if cell is None:
             raise ValueError(
-                f"no row for bits {b}, path_len {m}; simulate writes every cell "
-                "of the grid of the file's bits and path_len values"
+                f"no row for bits {want[0]}, path_len {want[1]}; simulate writes every "
+                "cell of the grid of the file's bits and path_len values"
             )
-    for ((b, m), n), want in zip(cells.items(), grid):
+        n, b, m = cell
+        # Rows past the whole grid can only repeat one of its cells.
+        if want is None:
+            raise ValueError(
+                f"row {n} repeats bits {b}, path_len {m}; simulate writes each cell once"
+            )
         if (b, m) != want:
             raise ValueError(
                 f"row {n} has bits {b}, path_len {m} where simulate writes bits "

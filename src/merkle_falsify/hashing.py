@@ -36,6 +36,8 @@ _ALGORITHMS = (SHA256, IDEAL)
 # The random oracle derives values from a 64-bit intermediate, so it cannot
 # produce more than 64 independent bits per input.
 _MAX_BITS = {SHA256: 256, IDEAL: 64}
+# The largest seed: the oracle's and a simulation's seeds are 64-bit unsigned.
+_MAX_SEED = (1 << 64) - 1
 
 # The SHA-256 constructor, bound once at import for both backends.  A wrapper
 # installed on ``hashlib.sha256`` before the package is imported (a call
@@ -43,6 +45,19 @@ _MAX_BITS = {SHA256: 256, IDEAL: 64}
 _sha256 = hashlib.sha256
 # The low 64 bits of a 32-byte digest, as a big-endian unsigned integer.
 _low64 = struct.Struct(">Q").unpack_from
+
+
+def _require_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an ``int`` in ``lo..hi``.
+
+    ``hi`` None means no upper bound.  The type must be ``int`` itself: a
+    bool is an int subclass, and a float such as ``1.0`` compares equal to
+    an int, but neither is a count, width, index or seed.  The message is
+    built only when the check fails.
+    """
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +72,7 @@ class HashSpec:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}"
             )
-        limit = _MAX_BITS[self.algorithm]
-        # bool is an int subclass, but True is not a width.
-        if type(self.bits) is not int or not 1 <= self.bits <= limit:
-            raise ValueError(
-                f"bits must be an integer in [1, {limit}] for {self.algorithm}, got {self.bits!r}"
-            )
+        _require_int(f"{self.algorithm} bits", self.bits, 1, _MAX_BITS[self.algorithm])
 
     @property
     def nbytes(self) -> int:
@@ -89,8 +99,7 @@ class Digest:
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
             raise ValueError(f"digest data must be bytes, got {type(self.data).__name__}")
-        if type(self.bits) is not int or self.bits < 1:
-            raise ValueError(f"digest bits must be a positive integer, got {self.bits!r}")
+        _require_int("digest bits", self.bits, 1)
         if len(self.data) != (self.bits + 7) // 8:
             raise ValueError(
                 f"digest of {self.bits} bits needs {(self.bits + 7) // 8} bytes, "
@@ -127,9 +136,7 @@ class OracleState:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        # bool is an int subclass, but True is not a seed.
-        if type(seed) is not int or not 0 <= seed < (1 << 64):
-            raise ValueError(f"oracle seed must be a 64-bit unsigned integer, got {seed!r}")
+        _require_int("oracle seed", seed, 0, _MAX_SEED)
         self._prefix = seed.to_bytes(8, "big")
         self._draws = 0
 

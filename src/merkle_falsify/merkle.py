@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, OracleState, node_fn
+from .hashing import Digest, HashSpec, OracleState, _require_int, node_fn
 
 LEFT = "left"
 RIGHT = "right"
@@ -127,10 +127,10 @@ def build_tree(
 
 def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
     """Authentication path for ``leaf_index`` against the tree's root."""
-    if type(leaf_index) is not int or not 0 <= leaf_index < tree.leaf_count:
-        raise IndexError(
-            f"leaf index {leaf_index!r} out of range for {tree.leaf_count} leaves"
-        )
+    try:
+        _require_int("leaf index", leaf_index, 0, tree.leaf_count - 1)
+    except ValueError as exc:
+        raise IndexError(*exc.args) from None
     bits = tree.spec.bits
     nb = tree.spec.nbytes
     steps = []
@@ -207,16 +207,12 @@ def proof_from_json(text: str) -> MerkleProof:
         raise ValueError(f"proof is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("proof JSON must be an object")
-    # JSON true/1.0 compare equal to 1, so integers are checked by type.
     version = obj.get("version")
-    if type(version) is not int or version != PROOF_VERSION:
-        raise ValueError(f"unsupported proof version {version!r}")
+    _require_int("proof version", version, PROOF_VERSION, PROOF_VERSION)
     bits = obj.get("bits")
-    if type(bits) is not int or bits < 1:
-        raise ValueError(f"proof bits must be a positive integer, got {bits!r}")
+    _require_int("proof bits", bits, 1)
     leaf_index = obj.get("leaf_index")
-    if type(leaf_index) is not int or leaf_index < 0:
-        raise ValueError(f"leaf_index must be a non-negative integer, got {leaf_index!r}")
+    _require_int("proof leaf_index", leaf_index, 0)
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):
         raise ValueError("proof steps must be a list")

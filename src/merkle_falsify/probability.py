@@ -73,6 +73,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .hashing import _require_int
+
 if TYPE_CHECKING:
     from mpmath import mpf
 
@@ -107,13 +109,8 @@ class PathParams:
     path_len: int
 
     def __post_init__(self) -> None:
-        # type() rather than isinstance(): bool is an int subclass.
-        if type(self.bits) is not int or self.bits < 1:
-            raise ValueError(f"bits must be a positive integer, got {self.bits!r}")
-        if type(self.path_len) is not int or self.path_len < 0:
-            raise ValueError(
-                f"path_len must be a non-negative integer, got {self.path_len!r}"
-            )
+        _require_int("bits", self.bits, 1)
+        _require_int("path_len", self.path_len, 0)
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,14 @@ SIMULATION_HEADER = (
 def format_sig(x) -> str:
     """Decimal string with SIG_DIGITS significant digits, '.' separator, no grouping.
 
-    x is an mpmath ``mpf``, a ``Fraction``, a float or an int.  It is first
-    rounded to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is rounded, a
-    float or an int is converted at that precision (a float exactly), and a
-    ``Fraction`` has its numerator and its denominator each rounded before
-    their quotient is.  mpmath's ``to_str`` then prints SIG_DIGITS digits,
-    trailing zeros stripped.  These are the steps of
-    ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
-    ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples, so no mpmath
-    context is read or written.
+    x is an mpmath ``mpf``, a ``Fraction`` or a float.  It is first rounded
+    to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is rounded, a float is
+    converted exactly, and a ``Fraction`` has its numerator and its
+    denominator each rounded before their quotient is.  mpmath's ``to_str``
+    then prints SIG_DIGITS digits, trailing zeros stripped.  These are the
+    steps of ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
+    ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples, so no
+    mpmath context is read or written.
     """
     import mpmath
 
@@ -53,8 +52,6 @@ def format_sig(x) -> str:
         )
     elif isinstance(x, float):
         v = libmp.from_float(x, _SIG_BITS, rnd)
-    elif isinstance(x, int):
-        v = libmp.from_int(x, _SIG_BITS, rnd)
     else:
         v = libmp.mpf_pos(x._mpf_, _SIG_BITS, rnd)
     return libmp.to_str(v, SIG_DIGITS, strip_zeros=True)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .hashing import IDEAL, SHA256, HashSpec, OracleState, node_fn
+from .hashing import _MAX_SEED, IDEAL, SHA256, HashSpec, OracleState, _require_int, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
 
 if TYPE_CHECKING:
@@ -104,16 +104,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.hash_spec()  # validates oracle_kind and bits range
         PathParams(self.bits, self.path_len)  # validates path_len
-        # bool is an int subclass and floats compare with ints, so counts
-        # are checked by type before range.
-        if type(self.trials_per_experiment) is not int or self.trials_per_experiment < 1:
-            raise ValueError("trials_per_experiment must be >= 1")
-        if type(self.num_experiments) is not int or self.num_experiments < 1:
-            raise ValueError("num_experiments must be >= 1")
+        _require_int("trials_per_experiment", self.trials_per_experiment, 1)
+        _require_int("num_experiments", self.num_experiments, 1)
         if self.sibling_mode not in (WIDE, TRUNCATED):
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
-        if type(self.master_seed) is not int or not 0 <= self.master_seed < (1 << 64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        _require_int("master_seed", self.master_seed, 0, _MAX_SEED)
 
     def hash_spec(self) -> HashSpec:
         return HashSpec(algorithm=self.oracle_kind, bits=self.bits)
@@ -161,8 +156,7 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
         )
     # The index is part of the seed text, so 1.0 or True would silently
     # draw a different stream than 1.
-    if type(experiment_index) is not int or not 0 <= experiment_index < config.num_experiments:
-        raise ValueError(f"experiment_index {experiment_index} out of range")
+    _require_int("experiment_index", experiment_index, 0, config.num_experiments - 1)
     import numpy as np
 
     key = (config.master_seed, config.bits, config.path_len, experiment_index)
@@ -295,8 +289,7 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     """
     if not configs:
         raise ValueError("run_grid needs at least one config")
-    if type(workers) is not int or workers < 1:
-        raise ValueError("workers must be >= 1")
+    _require_int("workers", workers, 1)
     tasks = ((config, k) for config in configs for k in range(config.num_experiments))
     num_tasks = sum(config.num_experiments for config in configs)
     # The pool starts all of its processes up front, so never ask for more

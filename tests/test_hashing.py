@@ -151,7 +151,7 @@ def test_oracle_seed_range():
     with pytest.raises(ValueError):
         OracleState(1 << 64)
     for seed in (True, False):  # bool is an int subclass, not a seed
-        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+        with pytest.raises(ValueError, match="oracle seed must be an integer in 0..18446744073709551615"):
             OracleState(seed)
 
 

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import merkle_falsify
-from merkle_falsify import cli
+from merkle_falsify import (
+    Digest,
+    ExperimentConfig,
+    HashSpec,
+    PathParams,
+    cli,
+    proof_from_json,
+    run_grid,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,3 +166,29 @@ def test_import_boundary(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HashSpec("ideal", 65), "ideal bits must be an integer in 1..64, got 65"),
+        (lambda: Digest(b"\x80", 1.0), "digest bits must be an integer >= 1, got 1.0"),
+        (lambda: PathParams(True, 0), "bits must be an integer >= 1, got True"),
+        (
+            lambda: ExperimentConfig(2, 10, master_seed=1 << 64),
+            "master_seed must be an integer in 0..18446744073709551615, got 18446744073709551616",
+        ),
+        (
+            lambda: run_grid([ExperimentConfig(2, 1)], workers=0),
+            "workers must be an integer >= 1, got 0",
+        ),
+        (
+            lambda: proof_from_json('{"version": true}'),
+            "proof version must be an integer in 1..1, got True",
+        ),
+    ],
+)
+def test_integer_inputs_name_field_bounds_and_value(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

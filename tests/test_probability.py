@@ -143,9 +143,13 @@ def test_termsum_matches_per_term_fraction_sum(b, m):
 
 
 def test_approx_m0_cancellation_exact():
-    for b in (1, 8, 52, 64):
-        approx = approx_falsification_prob(PathParams(b, 0))
-        assert approx == mpf(2) ** -b
+    # At m = 0 both forms are 2^-b.  The exact form, -expm1(log1p(-x)),
+    # inherits the rounding of log1p(-x) and lands one ulp off at some
+    # widths (b = 5, 32, 64 among them), so it is held to that ulp.
+    for b in range(1, 257):
+        cell = approximation_error(PathParams(b, 0))
+        assert cell.approx == mpf(2) ** -b
+        assert cell.abs_diff <= cell.approx * mpf(2) ** -probability._PREC_BITS
 
 
 def test_approx_2_10():
@@ -165,6 +169,47 @@ def test_approx_exceeds_one_for_small_bits():
 def test_approx_2_1000_value():
     p = approx_falsification_prob(PathParams(2, 1000))
     assert float(p) == pytest.approx(1.02880078307, rel=1e-11)
+
+
+# The discrepancy analysis: with x = 2^-b, approx - exact is
+# (x^2/2) * (1 - (m+1) * e^(-(m+1)x)) + O(x^3).  Widths stay below 229,
+# where the 243-bit difference of the two forms starts to lose digits.
+
+
+@pytest.mark.parametrize(
+    "b, m_star",
+    [(2, 9), (4, 67), (6, 379), (10, 9362), (16, 898_388), (32, 109_161_285_243)],
+)
+def test_approx_crosses_exact_once_near_lambert_w(b, m_star):
+    # approx < exact for 1 <= m < m*, approx > exact from m* on; to leading
+    # order (m* + 1) x = -W(-x) on the lower branch of Lambert's W
+    def sign(m):
+        cell = approximation_error(PathParams(b, m))
+        return (cell.approx > cell.exact) - (cell.approx < cell.exact)
+
+    ms = range(1, 4 * m_star) if b <= 6 else (1, m_star - 1, m_star, 4 * m_star)
+    assert [sign(m) for m in ms] == [-1 if m < m_star else 1 for m in ms]
+    x = mpf(2) ** -b
+    assert abs(m_star - (-mpmath.lambertw(-x, -1).real / x - 1)) <= 6
+
+
+@pytest.mark.parametrize("b", [10, 20])
+def test_gap_is_minus_x_over_2e_at_m_plus_1_equal_2_to_b(b):
+    # the leading term's minimum, at (m + 1) x = 1
+    cell = approximation_error(PathParams(b, 2**b - 1))
+    x = mpf(2) ** -b
+    assert cell.approx < cell.exact
+    assert abs(cell.abs_diff / (x / (2 * mpmath.e)) - 1) < 0.003
+
+
+@pytest.mark.parametrize("b", [64, 128, 200])
+def test_gap_matches_leading_term_at_wide_widths(b):
+    m = 10
+    cell = approximation_error(PathParams(b, m))
+    with mpmath.workdps(60):
+        x = mpf(2) ** -b
+        lead = x**2 / 2 * (1 - (m + 1) * mpmath.exp(-(m + 1) * x))
+        assert abs(cell.abs_diff / abs(lead) - 1) < 1e-15
 
 
 def test_diff_table_default_shape():
