@@ -13,12 +13,19 @@ Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
 bytes, left-aligned, with the unused low-order bits of the final byte forced
 to zero.
 
-Every hash in the package goes through one kernel:
+Every hash in the package goes through ``hashing``: a per-call form and a
+level form that share one mask table per width.
 
-- ``node_fn(spec, oracle=None)`` -- checks the backend/oracle pairing once
-  and returns a ``bytes -> bytes`` function yielding the truncated digest
-  bytes.  It is the only place that knows truncation and the ideal-oracle
-  bit layout; trees and the simulator bind it once and fold raw bytes.
+- ``node_fn(spec, oracle=None)`` -- the per-call form.  It checks the
+  backend/oracle pairing once and returns a ``bytes -> bytes`` function
+  yielding the truncated digest bytes; the simulator and proof verification
+  bind it once and fold raw bytes.
+- ``_level_fn(spec, oracle=None)`` -- the level form, for tree building.  It
+  returns an ``inputs -> bytes`` function whose result is the per-call
+  outputs laid end to end, computed a whole level at a time.
+
+These two are the only places that know truncation and the ideal-oracle bit
+layout.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 SHA256 = "sha256"
 IDEAL = "ideal"
@@ -85,7 +92,7 @@ class HashSpec:
         return 0xFF if rem == 0 else (0xFF << (8 - rem)) & 0xFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     """A truncated digest: left-aligned bytes plus the true bit length.
 
@@ -149,17 +156,19 @@ class OracleState:
         return _low64(_sha256(self._prefix + data).digest(), 24)[0]
 
 
-def _tail_table(rem: int) -> tuple[bytes, ...]:
+def _mask_table(rem: int) -> bytes:
     """The kept last byte of a ``bits % 8 == rem`` digest, indexed by its raw value."""
     mask = HashSpec(SHA256, rem).last_byte_mask
-    kept = bytes(v & mask for v in range(256))
-    # One-byte slices are the interpreter's shared single-byte objects, so
-    # the tables hold no bytes objects of their own.
-    return tuple(kept[v : v + 1] for v in range(256))
+    return bytes(v & mask for v in range(256))
 
 
-# One table per width that does not fill its last byte, keyed by bits % 8.
-_TAILS = {rem: _tail_table(rem) for rem in range(1, 8)}
+# One ``bytes.translate`` table per width that does not fill its last byte,
+# keyed by bits % 8.
+_MASKS = {rem: _mask_table(rem) for rem in range(1, 8)}
+# The same tables cut into one-byte slices, for the per-call form.  One-byte
+# slices are the interpreter's shared single-byte objects, so these hold no
+# bytes objects of their own.
+_TAILS = {rem: tuple(table[v : v + 1] for v in range(256)) for rem, table in _MASKS.items()}
 
 
 def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
@@ -197,3 +206,41 @@ def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[byte
         return d[:cut] + tails[d[cut]]
 
     return node
+
+
+def _level_fn(
+    spec: HashSpec, oracle: OracleState | None = None
+) -> Callable[[Iterable[bytes]], bytes]:
+    """The level form of the kernel: many inputs hashed into one buffer.
+
+    The returned function maps ``inputs`` to
+    ``b"".join(node_fn(spec, oracle)(x) for x in inputs)``, built in one
+    ``bytearray`` so that no per-node object outlives its append.  For
+    ``sha256`` each digest is cut to ``spec.nbytes`` as it is appended, and
+    the pad bits of the whole level's last-byte column are cleared at the
+    end with one ``bytes.translate``; ``ideal`` appends the per-call form's
+    output.  The oracle pairing is checked as in ``node_fn``.
+    """
+    node = node_fn(spec, oracle)
+    if spec.algorithm == IDEAL:
+
+        def ideal_level(inputs: Iterable[bytes]) -> bytes:
+            buf = bytearray()
+            for x in inputs:
+                buf += node(x)
+            return bytes(buf)
+
+        return ideal_level
+    sha = _sha256
+    nb = spec.nbytes
+    table = _MASKS.get(spec.bits % 8)
+
+    def sha256_level(inputs: Iterable[bytes]) -> bytes:
+        buf = bytearray()
+        for x in inputs:
+            buf += sha(x).digest()[:nb]
+        if table is not None:
+            buf[nb - 1 :: nb] = buf[nb - 1 :: nb].translate(table)
+        return bytes(buf)
+
+    return sha256_level

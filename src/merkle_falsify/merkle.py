@@ -4,10 +4,12 @@ Construction pairs digests left to right.  A level with an odd number of
 digests is first extended by duplicating its final digest, so every level
 pairs cleanly; a single-leaf tree is just the leaf digest.  A parent node is
 the kernel ``hashing.node_fn`` applied to the bytes ``left || right`` under
-the tree's :class:`HashSpec`.  Tree code binds that kernel once per call and
-hashes raw bytes.  A tree stores each level as one ``bytes`` buffer of the
-kernel's raw outputs laid end to end, so a node costs its ``spec.nbytes``
-bytes and no object of its own.  A :class:`Digest` is built only for a
+the tree's :class:`HashSpec`.  Tree code binds the kernel once per call and
+hashes raw bytes: ``build_tree`` through its level form, which hashes a
+whole level into one buffer, and ``verify_proof`` through the per-call
+form.  A tree stores each level as one ``bytes`` buffer of the kernel's raw
+outputs laid end to end, so a node costs its ``spec.nbytes`` bytes and no
+object of its own.  A :class:`Digest` is built only for a
 value that leaves the code: a tree's root and the siblings of a proof.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
@@ -15,7 +17,9 @@ digest consumed at each level together with the side that sibling occupies
 in the concatenation.  The sides are the bits of the leaf's index, low bit
 first, and verification rejects a proof whose sides and ``leaf_index``
 disagree.  Verification then rehashes the block, folds the siblings in
-order, and compares against the expected root.
+order, and compares against the expected root.  A proof's JSON form is a
+fixed canonical text, byte-identical to ``json.dumps`` of the documented
+object (see ``proof_to_json``).
 
 Known caveat: leaves are hashed payload bytes directly, with no
 domain-separation prefix distinguishing leaf hashing from internal-node
@@ -35,7 +39,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, OracleState, _require_int, node_fn
+from .hashing import Digest, HashSpec, OracleState, _level_fn, _require_int, node_fn
 
 LEFT = "left"
 RIGHT = "right"
@@ -43,7 +47,7 @@ RIGHT = "right"
 PROOF_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     """One level of an authentication path.
 
@@ -60,7 +64,7 @@ class ProofStep:
             raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {self.side!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
     """Authentication path for one leaf, bottom-up."""
 
@@ -106,22 +110,17 @@ def build_tree(
     """Hash ``leaves`` and pair upward until a single root remains."""
     if len(leaves) == 0:
         raise ValueError("cannot build a tree from zero leaves")
-    node = node_fn(spec, oracle)
+    hash_level = _level_fn(spec, oracle)
     nb = spec.nbytes
     pair = 2 * nb
-    buf = bytearray()
-    for block in leaves:
-        buf += node(block)
+    level = hash_level(leaves)
     levels = []
-    while len(buf) > nb:
-        if len(buf) % pair:
-            buf += buf[-nb:]
-        level = bytes(buf)
+    while len(level) > nb:
+        if len(level) % pair:
+            level += level[-nb:]
         levels.append(level)
-        buf = bytearray()
-        for i in range(0, len(level), pair):
-            buf += node(level[i : i + pair])
-    levels.append(bytes(buf))
+        level = hash_level(level[i : i + pair] for i in range(0, len(level), pair))
+    levels.append(level)
     return MerkleTree(spec, len(leaves), levels)
 
 
@@ -185,17 +184,24 @@ def verify_proof(
 
 
 def proof_to_json(proof: MerkleProof) -> str:
-    """Serialize a proof to its canonical JSON form."""
-    return json.dumps(
-        {
-            "version": PROOF_VERSION,
-            "bits": proof.bits,
-            "leaf_index": proof.leaf_index,
-            "steps": [
-                {"sibling": step.sibling.hex(), "side": step.side}
-                for step in proof.steps
-            ],
-        }
+    """Serialize a proof to its canonical JSON form.
+
+    The text is exactly ``json.dumps`` of ``{"version": 1, "bits": ...,
+    "leaf_index": ..., "steps": [{"sibling": <hex>, "side": <side>}, ...]}``,
+    written out directly.  As ``proof_from_json`` requires, ``bits`` must be
+    an ``int`` >= 1 and ``leaf_index`` an ``int`` >= 0, else ``ValueError``:
+    a ``True`` would otherwise be written ``True``, where ``json.dumps``
+    writes ``true``.  Sides and hex digits need no escaping.
+    """
+    _require_int("proof bits", proof.bits, 1)
+    _require_int("proof leaf_index", proof.leaf_index, 0)
+    steps = ", ".join(
+        f'{{"sibling": "{step.sibling.data.hex()}", "side": "{step.side}"}}'
+        for step in proof.steps
+    )
+    return (
+        f'{{"version": {PROOF_VERSION}, "bits": {proof.bits}, '
+        f'"leaf_index": {proof.leaf_index}, "steps": [{steps}]}}'
     )
 
 

@@ -10,6 +10,7 @@ from merkle_falsify.hashing import (
     Digest,
     HashSpec,
     OracleState,
+    _level_fn,
     node_fn,
 )
 
@@ -103,6 +104,25 @@ def test_sha256_kernel_every_width(data):
         nb = (b + 7) // 8
         want = (value >> (256 - b) << (8 * nb - b)).to_bytes(nb, "big")
         assert node_fn(HashSpec(SHA256, b))(data) == want, b
+
+
+def test_level_form_equals_per_call_form():
+    # the level form is the per-call outputs laid end to end, at every width
+    # of both backends; the empty list gives the empty level
+    batches = ([], [b""], [b"abc", b"", bytes(range(64)), b"\xff" * 33, b"abc"])
+    specs = [(HashSpec(SHA256, b), None) for b in range(1, 257)]
+    specs += [(HashSpec(IDEAL, b), OracleState(7)) for b in range(1, 65)]
+    for spec, oracle in specs:
+        node = node_fn(spec, oracle)
+        level = _level_fn(spec, oracle)
+        for inputs in batches:
+            got = level(inputs)
+            assert type(got) is bytes
+            assert got == b"".join(node(x) for x in inputs), (spec, inputs)
+    with pytest.raises(ValueError):
+        _level_fn(HashSpec(IDEAL, 8))
+    with pytest.raises(ValueError):
+        _level_fn(HashSpec(SHA256, 8), OracleState(0))
 
 
 def test_oracle_repeat_query_is_deterministic():

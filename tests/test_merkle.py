@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -149,22 +152,23 @@ def test_proof_length_is_padded_log2():
 
 
 def test_levels_recompute():
-    # rebuilding from the stored leaf level (duplicate-if-odd, then pair)
-    # reproduces every stored level, pads included
-    for n in (2, 3, 5, 6, 7, 12):
-        tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 40))
-        level = entries(tree.levels[0], tree.spec)
-        rebuilt = [level]
-        while len(level) > 1:
-            if len(level) % 2:
-                level = level + [level[-1]]
-                rebuilt[-1] = level
-            level = [
-                hash_bytes(level[i] + level[i + 1], tree.spec).data
-                for i in range(0, len(level), 2)
-            ]
-            rebuilt.append(level)
-        assert rebuilt == [entries(stored, tree.spec) for stored in tree.levels]
+    # a fold of the per-call kernel from the blocks, one node at a time
+    # (duplicate-if-odd, then pair), reproduces every stored level, pads
+    # included; all widths but 40 leave pad bits in the last byte
+    for bits in (1, 3, 7, 12, 40, 60, 255):
+        spec = HashSpec(SHA256, bits)
+        node = node_fn(spec)
+        for n in range(1, 18):
+            level = [node(bytes([i])) for i in range(n)]
+            rebuilt = [level]
+            while len(level) > 1:
+                if len(level) % 2:
+                    level = level + [level[-1]]
+                    rebuilt[-1] = level
+                level = [node(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+                rebuilt.append(level)
+            tree = build_tree([bytes([i]) for i in range(n)], spec)
+            assert rebuilt == [entries(stored, spec) for stored in tree.levels], (bits, n)
 
 
 @given(
@@ -317,6 +321,65 @@ def test_proof_json_schema():
     assert [s["side"] for s in obj["steps"]] == ["right", "left"]
     assert all(len(s["sibling"]) == 64 for s in obj["steps"])
     assert proof_from_json(proof_to_json(proof)) == proof
+
+
+def dumps_reference(proof: MerkleProof) -> str:
+    """The documented proof object, serialized by ``json.dumps``."""
+    return json.dumps(
+        {
+            "version": 1,
+            "bits": proof.bits,
+            "leaf_index": proof.leaf_index,
+            "steps": [{"sibling": s.sibling.hex(), "side": s.side} for s in proof.steps],
+        }
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([(SHA256, b) for b in (1, 4, 7, 8, 12, 64, 255, 256)] + [(IDEAL, 13)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_proof_json_is_canonical_dumps(n, width, data):
+    spec = HashSpec(*width)
+    oracle = OracleState(5) if spec.algorithm == IDEAL else None
+    tree = build_tree([f"c{i}".encode() for i in range(n)], spec, oracle)
+    index = data.draw(st.integers(min_value=0, max_value=n - 1))
+    proof = generate_proof(tree, index)
+    assert proof_to_json(proof) == dumps_reference(proof)
+
+
+@given(
+    st.one_of(st.integers(min_value=-3, max_value=300), st.booleans(), st.just(8.0)),
+    st.one_of(st.integers(min_value=-3, max_value=1 << 70), st.booleans(), st.just(0.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_proof_json_refuses_inexact_ints(bits, leaf_index):
+    # a hand-built proof is written as json.dumps writes it, or refused with
+    # the integer rule's ValueError; a bool (dumps: true) or a float is
+    # never written as Python would print it
+    steps = (ProofStep(Digest(b"\x80", 1), "left"),)
+    proof = MerkleProof(bits=bits, leaf_index=leaf_index, steps=steps)
+    exact = type(bits) is int and bits >= 1 and type(leaf_index) is int and leaf_index >= 0
+    if exact:
+        assert proof_to_json(proof) == dumps_reference(proof)
+    else:
+        with pytest.raises(ValueError, match="must be an integer"):
+            proof_to_json(proof)
+
+
+def test_proof_classes_are_slotted_and_frozen():
+    digest = Digest(b"\xb0", 4)
+    step = ProofStep(digest, "left")
+    proof = MerkleProof(bits=4, leaf_index=1, steps=(step,))
+    for obj, field in ((digest, "bits"), (step, "side"), (proof, "leaf_index")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 0)
+        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj
+            assert hash(twin) == hash(obj)
 
 
 def test_proof_json_malformed():

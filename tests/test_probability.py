@@ -212,6 +212,18 @@ def test_gap_matches_leading_term_at_wide_widths(b):
         assert abs(cell.abs_diff / abs(lead) - 1) < 1e-15
 
 
+def test_gap_tends_to_x_plus_expm1_minus_x_as_m_grows():
+    # m -> infinity: (1 - x)^(m+1) and e^(-(m+1)x) vanish, so approx - exact
+    # tends to x + e^(-x) - 1 (about x^2 / 2, criterion 2's saturation).  At
+    # m = 1000 * 2^b both terms are below e^(-1000), far under the tolerance.
+    for b in range(1, 33):
+        cell = approximation_error(PathParams(b, 1000 * 2**b))
+        with mpmath.workdps(500):
+            x = mpf(2) ** -b
+            limit = x + mpmath.expm1(-x)
+            assert abs(cell.abs_diff / limit - 1) < mpf(10) ** -50, b
+
+
 def test_diff_table_default_shape():
     rows = diff_table()
     assert len(rows) == 25
