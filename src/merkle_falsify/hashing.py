@@ -13,8 +13,8 @@ Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
 bytes, left-aligned, with the unused low-order bits of the final byte forced
 to zero.
 
-Every hash in the package goes through ``hashing``: a per-call form and a
-level form that share one mask table per width.
+Every node hash in the package goes through ``hashing``: a per-call form
+and a level form that share one mask table per width.
 
 - ``node_fn(spec, oracle=None)`` -- the per-call form.  It checks the
   backend/oracle pairing once and returns a ``bytes -> bytes`` function

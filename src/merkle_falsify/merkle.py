@@ -14,9 +14,10 @@ value that leaves the code: a tree's root and the siblings of a proof.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
-in the concatenation.  The sides are the bits of the leaf's index, low bit
-first, and verification rejects a proof whose sides and ``leaf_index``
-disagree.  Verification then rehashes the block, folds the siblings in
+in the concatenation.  A proof is checked once, when it is built: its
+siblings are at its width, and its sides are the bits of its leaf's index,
+low bit first, so a proof cannot claim one leaf position while folding at
+another.  Verification then only rehashes the block, folds the siblings in
 order, and compares against the expected root.  A proof's JSON form is a
 fixed canonical text, byte-identical to ``json.dumps`` of the documented
 object (see ``proof_to_json``).
@@ -53,24 +54,42 @@ class ProofStep:
 
     ``side`` names where the sibling goes in the concatenation: ``"right"``
     means the running digest is the left operand (``H(current || sibling)``),
-    ``"left"`` the reverse.
+    ``"left"`` the reverse.  :class:`MerkleProof` checks its steps.
     """
 
     sibling: Digest
     side: str
 
-    def __post_init__(self) -> None:
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {self.side!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class MerkleProof:
-    """Authentication path for one leaf, bottom-up."""
+    """Authentication path for one leaf, bottom-up, checked when built.
+
+    Every sibling has ``bits`` bits, and the sides spell ``leaf_index``: step
+    ``k``'s sibling is on the left exactly when bit ``k`` is 1.
+    """
 
     bits: int
     leaf_index: int
     steps: tuple[ProofStep, ...]
+
+    def __post_init__(self) -> None:
+        _require_int("proof bits", self.bits, 1)
+        _require_int("proof leaf_index", self.leaf_index, 0)
+        spelled = 0
+        for k, step in enumerate(self.steps):
+            if step.side == LEFT:
+                spelled |= 1 << k
+            elif step.side != RIGHT:
+                raise ValueError(f"step {k} side must be 'left' or 'right', got {step.side!r}")
+            width = step.sibling.bits
+            if width != self.bits:
+                raise ValueError(f"step {k} sibling has {width} bits, the proof {self.bits}")
+        if spelled != self.leaf_index:
+            raise ValueError(
+                f"proof sides spell leaf_index {spelled} over {len(self.steps)} steps, "
+                f"not the claimed {self.leaf_index}"
+            )
 
 
 class MerkleTree:
@@ -151,13 +170,10 @@ def verify_proof(
 ) -> bool:
     """Three-step check: hash the block, fold the path, compare to the root.
 
-    The proof must also be bound to its leaf position: step ``k``'s sibling
-    sits on the right exactly when bit ``k`` of ``leaf_index`` is 0, and
-    ``leaf_index`` has no bits above the path length.  A proof whose sides
-    do not spell out its ``leaf_index`` fails verification.
-
-    Width mismatches (proof or root digests not at ``spec.bits``) raise
-    ``ValueError`` -- they are caller mistakes, not failed verifications.
+    The proof was checked once, when it was built (see :class:`MerkleProof`):
+    its sides spell its ``leaf_index`` and its siblings are at its width, so
+    verification only folds.  A proof or root not at ``spec.bits`` raises
+    ``ValueError`` -- a caller mistake, not a failed verification.
     """
     if proof.bits != spec.bits:
         raise ValueError(f"proof bits {proof.bits} do not match spec.bits {spec.bits}")
@@ -165,15 +181,7 @@ def verify_proof(
         raise ValueError(
             f"expected root has {expected_root.bits} bits, spec.bits is {spec.bits}"
         )
-    for step in proof.steps:
-        if step.sibling.bits != spec.bits:
-            raise ValueError(
-                f"proof sibling has {step.sibling.bits} bits, spec.bits is {spec.bits}"
-            )
     node = node_fn(spec, oracle)
-    spelled = sum(1 << k for k, step in enumerate(proof.steps) if step.side == LEFT)
-    if spelled != proof.leaf_index:
-        return False
     current = node(data)
     for step in proof.steps:
         if step.side == RIGHT:
@@ -188,13 +196,10 @@ def proof_to_json(proof: MerkleProof) -> str:
 
     The text is exactly ``json.dumps`` of ``{"version": 1, "bits": ...,
     "leaf_index": ..., "steps": [{"sibling": <hex>, "side": <side>}, ...]}``,
-    written out directly.  As ``proof_from_json`` requires, ``bits`` must be
-    an ``int`` >= 1 and ``leaf_index`` an ``int`` >= 0, else ``ValueError``:
-    a ``True`` would otherwise be written ``True``, where ``json.dumps``
-    writes ``true``.  Sides and hex digits need no escaping.
+    written out directly.  A :class:`MerkleProof` holds only plain ``int``
+    fields, so they print as ``json.dumps`` prints them, and sides and hex
+    digits need no escaping.
     """
-    _require_int("proof bits", proof.bits, 1)
-    _require_int("proof leaf_index", proof.leaf_index, 0)
     steps = ", ".join(
         f'{{"sibling": "{step.sibling.data.hex()}", "side": "{step.side}"}}'
         for step in proof.steps
@@ -206,7 +211,7 @@ def proof_to_json(proof: MerkleProof) -> str:
 
 
 def proof_from_json(text: str) -> MerkleProof:
-    """Parse and validate a serialized proof; malformed input raises ValueError."""
+    """Parse a serialized proof; malformed JSON or an invalid proof raises ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -217,8 +222,6 @@ def proof_from_json(text: str) -> MerkleProof:
     _require_int("proof version", version, PROOF_VERSION, PROOF_VERSION)
     bits = obj.get("bits")
     _require_int("proof bits", bits, 1)
-    leaf_index = obj.get("leaf_index")
-    _require_int("proof leaf_index", leaf_index, 0)
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):
         raise ValueError("proof steps must be a list")
@@ -226,15 +229,8 @@ def proof_from_json(text: str) -> MerkleProof:
     for k, raw in enumerate(raw_steps):
         if not isinstance(raw, dict):
             raise ValueError(f"step {k} must be an object")
-        side = raw.get("side")
-        if side not in (LEFT, RIGHT):
-            raise ValueError(f"step {k} side must be 'left' or 'right', got {side!r}")
         sibling = raw.get("sibling")
         if not isinstance(sibling, str):
             raise ValueError(f"step {k} sibling must be a hex string")
-        steps.append(ProofStep(Digest.from_hex(sibling, bits), side))
-    if leaf_index >> len(steps):
-        raise ValueError(
-            f"leaf_index {leaf_index} does not fit a path of {len(steps)} steps"
-        )
-    return MerkleProof(bits=bits, leaf_index=leaf_index, steps=tuple(steps))
+        steps.append(ProofStep(Digest.from_hex(sibling, bits), raw.get("side")))
+    return MerkleProof(bits=bits, leaf_index=obj.get("leaf_index"), steps=tuple(steps))

@@ -273,44 +273,53 @@ def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:
     return CellResult(config, matches, total, matches / total, *stats)
 
 
-def _run_task(task: tuple[ExperimentConfig, int]) -> int:
+def _run_range(task: tuple[ExperimentConfig, int, int]) -> int:
     # Pool workers receive this function by name and look run_experiment up
     # when called, so a wrapper installed on it (a tracer, say) runs there too.
-    return run_experiment(*task)
+    config, start, stop = task
+    return sum(run_experiment(config, k) for k in range(start, stop))
 
 
 def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResult]:
     """One CellResult per config, in order; independent of worker count.
 
     Experiments fan out over a process pool of at most
-    min(workers, number of experiments, CPU count) processes; counts come
-    back in (config, experiment_index) order, and each cell is summed as its
-    counts arrive, so the serial path holds no per-experiment list.
+    min(workers, number of experiments, CPU count) processes, as ranges of
+    one cell's consecutive experiments, about four ranges per process.  The
+    pool receives at most len(configs) + 4 * pool size ranges, so the
+    parent's memory does not grow with the number of experiments.  Range
+    counts come back in order, and each cell is summed as they arrive.
     """
     if not configs:
         raise ValueError("run_grid needs at least one config")
     _require_int("workers", workers, 1)
-    tasks = ((config, k) for config in configs for k in range(config.num_experiments))
     num_tasks = sum(config.num_experiments for config in configs)
     # The pool starts all of its processes up front, so never ask for more
     # than there are tasks or CPUs to run them.
     pool_size = min(workers, num_tasks, os.cpu_count() or 1)
+    # ceil, so that whole ranges number at most 4 * pool_size; each cell
+    # adds at most one part-filled range.
+    step = -(-num_tasks // (4 * pool_size))
+    tasks = (
+        (config, start, min(start + step, config.num_experiments))
+        for config in configs
+        for start in range(0, config.num_experiments, step)
+    )
     if pool_size == 1:
-        return _sum_cells(configs, map(_run_task, tasks))
+        return _sum_cells(configs, step, map(_run_range, tasks))
     # numpy first, so that forked workers inherit it and none imports it
     # again (see the module docstring).
     import numpy  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        chunk = max(1, num_tasks // (4 * pool_size))
-        return _sum_cells(configs, pool.map(_run_task, tasks, chunksize=chunk))
+        return _sum_cells(configs, step, pool.map(_run_range, tasks))
 
 
-def _sum_cells(configs: list[ExperimentConfig], counts) -> list[CellResult]:
-    """Each config's CellResult from the next num_experiments of ``counts``."""
+def _sum_cells(configs: list[ExperimentConfig], step: int, counts) -> list[CellResult]:
+    """Each config's CellResult from its next ceil(num_experiments / step) range counts."""
     return [
-        _finalize_cell(config, sum(islice(counts, config.num_experiments)))
+        _finalize_cell(config, sum(islice(counts, -(-config.num_experiments // step))))
         for config in configs
     ]
 

@@ -227,6 +227,26 @@ def test_merkle_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_merkle_verify_relabelled_proof_is_bad_input(tmp_path, capsys):
+    # a proof file whose leaf_index contradicts its sides is malformed input
+    # (exit 2), not a failed verification (exit 1)
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_bytes(b"a\nb\n")
+    assert main(["merkle", "build", str(blocks)]) == 0
+    root = capsys.readouterr().out.strip()
+    proof = tmp_path / "proof.json"
+    assert main(["merkle", "prove", str(blocks), "--index", "0", "--output", str(proof)]) == 0
+    obj = json.loads(proof.read_text())
+    obj["leaf_index"] = 1
+    proof.write_text(json.dumps(obj))
+    block = tmp_path / "d.txt"
+    block.write_bytes(b"a")
+    assert main(["merkle", "verify", "--block", str(block), "--proof", str(proof), "--root", root]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "proof sides spell leaf_index 0 over 1 steps, not the claimed 1" in captured.err
+
+
 def test_figure_cli(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     assert main([

@@ -107,13 +107,13 @@ def test_tamper_matrix():
     )
     assert not verify_proof(FOUR_LEAF_BLOCKS[1], broken, root, SPEC256)
 
-    # flipped side
-    swapped = MerkleProof(
-        bits=proof.bits,
-        leaf_index=proof.leaf_index,
-        steps=(ProofStep(proof.steps[0].sibling, "right"),) + proof.steps[1:],
-    )
-    assert not verify_proof(FOUR_LEAF_BLOCKS[1], swapped, root, SPEC256)
+    # flipped side: the sides no longer spell leaf_index, so no such proof
+    # exists; relabelled to the index they do spell, it builds and fails
+    swapped = (ProofStep(proof.steps[0].sibling, "right"),) + proof.steps[1:]
+    with pytest.raises(ValueError, match="spell leaf_index 0"):
+        MerkleProof(bits=proof.bits, leaf_index=proof.leaf_index, steps=swapped)
+    relabelled = MerkleProof(bits=proof.bits, leaf_index=0, steps=swapped)
+    assert not verify_proof(FOUR_LEAF_BLOCKS[1], relabelled, root, SPEC256)
 
     # wrong root
     other = build_tree([b"x", b"y", b"z", b"w"], SPEC256)
@@ -121,14 +121,16 @@ def test_tamper_matrix():
 
 
 def test_relabelled_proof_rejected():
-    # the sides of leaf 1's proof spell index 1; claiming another position
-    # with the same steps must not verify
+    # the sides of leaf 1's proof spell index 1; a proof claiming another
+    # position with the same steps cannot be built
     tree = build_tree(FOUR_LEAF_BLOCKS, SPEC256)
     proof = generate_proof(tree, 1)
     assert verify_proof(FOUR_LEAF_BLOCKS[1], proof, tree.root, SPEC256)
-    for claimed in (0, 2, 3, 5, -1):
-        relabelled = MerkleProof(bits=proof.bits, leaf_index=claimed, steps=proof.steps)
-        assert not verify_proof(FOUR_LEAF_BLOCKS[1], relabelled, tree.root, SPEC256)
+    for claimed in (0, 2, 3, 5):
+        with pytest.raises(ValueError, match=f"spell leaf_index 1 over 2 steps.*{claimed}"):
+            MerkleProof(bits=proof.bits, leaf_index=claimed, steps=proof.steps)
+    with pytest.raises(ValueError, match="proof leaf_index must be an integer >= 0"):
+        MerkleProof(bits=proof.bits, leaf_index=-1, steps=proof.steps)
 
 
 def test_proof_roundtrip_small_trees():
@@ -273,11 +275,9 @@ def test_verify_width_mismatch_raises():
         verify_proof(b"a", proof, tree.root, SPEC256)
     with pytest.raises(ValueError):
         verify_proof(b"a", proof, hash_bytes(b"r", SPEC256), spec8)
-    bad_sibling = MerkleProof(
-        bits=8, leaf_index=0, steps=(ProofStep(Digest(b"\x00\x00", 16), "right"),)
-    )
-    with pytest.raises(ValueError):
-        verify_proof(b"a", bad_sibling, tree.root, spec8)
+    # a sibling at another width is refused when the proof is built
+    with pytest.raises(ValueError, match="step 0 sibling has 16 bits, the proof 8"):
+        MerkleProof(bits=8, leaf_index=0, steps=(ProofStep(Digest(b"\x00\x00", 16), "right"),))
 
 
 def test_fold_path_right_spine():
@@ -356,17 +356,66 @@ def test_proof_json_is_canonical_dumps(n, width, data):
 )
 @settings(max_examples=80, deadline=None)
 def test_proof_json_refuses_inexact_ints(bits, leaf_index):
-    # a hand-built proof is written as json.dumps writes it, or refused with
-    # the integer rule's ValueError; a bool (dumps: true) or a float is
-    # never written as Python would print it
-    steps = (ProofStep(Digest(b"\x80", 1), "left"),)
-    proof = MerkleProof(bits=bits, leaf_index=leaf_index, steps=steps)
+    # a hand-built proof is refused with the integer rule's ValueError unless
+    # its fields are plain ints, so proof_to_json writes it as json.dumps
+    # does and never meets a bool (dumps: true) or a float
     exact = type(bits) is int and bits >= 1 and type(leaf_index) is int and leaf_index >= 0
-    if exact:
-        assert proof_to_json(proof) == dumps_reference(proof)
-    else:
+    if not exact:
         with pytest.raises(ValueError, match="must be an integer"):
-            proof_to_json(proof)
+            MerkleProof(bits=bits, leaf_index=leaf_index, steps=())
+        return
+    sibling = Digest(bytes((bits + 7) // 8), bits)
+    steps = tuple(
+        ProofStep(sibling, "left" if leaf_index >> k & 1 else "right")
+        for k in range(leaf_index.bit_length())
+    )
+    proof = MerkleProof(bits=bits, leaf_index=leaf_index, steps=steps)
+    assert proof_to_json(proof) == dumps_reference(proof)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([(SHA256, b) for b in (1, 7, 12, 256)] + [(IDEAL, 13)]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_proof_contract_property(n, width, data):
+    # a proof exists only at the leaf index its sides spell and with every
+    # sibling at its width, whether built directly or parsed from JSON
+    spec = HashSpec(*width)
+    oracle = OracleState(7) if spec.algorithm == IDEAL else None
+    blocks = [f"p{i}".encode() for i in range(n)]
+    tree = build_tree(blocks, spec, oracle)
+    index = data.draw(st.integers(min_value=0, max_value=n - 1))
+    proof = generate_proof(tree, index)
+    steps = proof.steps
+
+    for claimed in range(2 ** (len(steps) + 1)):
+        if claimed != index:
+            with pytest.raises(ValueError, match="spell leaf_index"):
+                MerkleProof(bits=spec.bits, leaf_index=claimed, steps=steps)
+
+    text = proof_to_json(proof)
+    assert proof_from_json(text) == proof
+    assert proof_to_json(proof_from_json(text)) == text
+    assert verify_proof(blocks[index], proof, tree.root, spec, oracle)
+
+    obj = json.loads(text)
+    obj["leaf_index"] = data.draw(st.integers(min_value=0).filter(lambda i: i != index))
+    with pytest.raises(ValueError, match="spell leaf_index"):
+        proof_from_json(json.dumps(obj))
+    if not steps:
+        return
+    k = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+    obj = json.loads(text)
+    obj["steps"][k]["side"] = "left" if obj["steps"][k]["side"] == "right" else "right"
+    with pytest.raises(ValueError, match="spell leaf_index"):
+        proof_from_json(json.dumps(obj))
+
+    other = data.draw(st.sampled_from([1, 7, 12, 13, 256]).filter(lambda b: b != spec.bits))
+    odd = ProofStep(Digest(bytes((other + 7) // 8), other), steps[k].side)
+    with pytest.raises(ValueError, match=f"step {k} sibling has {other} bits"):
+        MerkleProof(bits=spec.bits, leaf_index=index, steps=steps[:k] + (odd,) + steps[k + 1 :])
 
 
 def test_proof_classes_are_slotted_and_frozen():

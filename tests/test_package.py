@@ -168,6 +168,38 @@ def test_import_boundary(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+"""
+
+
+def test_failing_hypothesis_test_is_reported(tmp_path):
+    # Under the suite's warning filters a failing @given test is reported
+    # as one failure (exit 1); a warning raised as an error in Hypothesis's
+    # report hook would stop the whole session with INTERNALERROR (exit 3).
+    test_file = tmp_path / "test_fails.py"
+    test_file.write_text(_FAILING_GIVEN)
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+            "-p", "no:cacheprovider", "-q", str(test_file),
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed" in output
+
+
 @pytest.mark.parametrize(
     "make, message",
     [

@@ -1,5 +1,7 @@
 import concurrent.futures
 import hashlib
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -385,9 +387,11 @@ def test_run_grid_worker_invariance():
     assert [c.matches for c in serial] == [c.matches for c in parallel]
 
 
-def test_run_grid_pool_size_is_capped(monkeypatch):
-    # a stand-in records the pool it is asked for, so no large pool starts
-    requested = []
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Stand in for the process pool, so no pool starts; the returned list
+    gets one (pool size, [(bits, start, stop), ...]) entry per pool run."""
+    calls = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -399,12 +403,17 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            requested.append((self.max_workers, chunksize))
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            calls.append((self.max_workers, [(c.bits, lo, hi) for c, lo, hi in tasks]))
             return map(fn, tasks)
 
     # run_grid imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return calls
+
+
+def test_run_grid_pool_size_is_capped(monkeypatch, pool_calls):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     forty = build_grid([2, 3], [1], trials_per_experiment=3, num_experiments=20)
     serial = [c.matches for c in run_grid(forty)]
@@ -413,13 +422,59 @@ def test_run_grid_pool_size_is_capped(monkeypatch):
     assert [c.matches for c in run_grid(forty, workers=1000)] == serial
     run_grid(three, workers=1000)
     run_grid(forty, workers=2)
-    # (pool size, chunksize = tasks // (4 * pool size))
-    assert requested == [(4, 2), (3, 1), (2, 5)]
+    # pool size; ranges of ceil(tasks / (4 * pool size)) experiments per cell
+    sizes = [(pool, [hi - lo for _, lo, hi in ranges]) for pool, ranges in pool_calls]
+    assert sizes == [(4, ([3] * 6 + [2]) * 2), (3, [1, 1, 1]), (2, [5] * 8)]
+    assert pool_calls[1][1] == [(2, 0, 1), (2, 1, 2), (2, 2, 3)]
+    assert pool_calls[2][1] == [(b, lo, lo + 5) for b in (2, 3) for lo in (0, 5, 10, 15)]
 
-    requested.clear()
+    pool_calls.clear()
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     assert [c.matches for c in run_grid(forty, workers=1000)] == serial
-    assert requested == []  # one usable CPU runs in-process
+    assert pool_calls == []  # one usable CPU runs in-process
+
+
+def test_run_grid_pool_tasks_are_bounded(monkeypatch, pool_calls):
+    # the pool receives at most len(configs) + 4 * pool size ranges, each
+    # within one cell and together tiling it, whatever the experiment count
+    monkeypatch.setattr(simulate, "run_experiment", lambda config, k: k % 2)
+    for cpus in (2, 3, 8):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        for counts in ((1, 1), (5, 9, 2), (7,) * 5, (10**6, 3)):
+            configs = [
+                ExperimentConfig(bits=b, path_len=1, num_experiments=n)
+                for b, n in zip(range(2, 9), counts)
+            ]
+            cells = run_grid(configs, workers=cpus)
+            pool_size, ranges = pool_calls.pop()
+            assert len(ranges) <= len(configs) + 4 * pool_size, (cpus, counts)
+            for cell, config in zip(cells, configs):
+                bounds = [lo_hi for b, *lo_hi in ranges if b == config.bits]
+                edges = [lo for lo, _ in bounds] + [config.num_experiments]
+                assert [hi for _, hi in bounds] == edges[1:] and edges[0] == 0
+                assert cell.matches == config.num_experiments // 2
+
+
+def test_pool_run_grid_memory_is_independent_of_experiments(monkeypatch):
+    # The pool receives a bounded number of ranges, so the parent's peak
+    # does not grow with the number of experiments (a task or count held
+    # per experiment costs about 90 B: ~9 MiB at 10^5).
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the stubbed run_experiment reaches pool workers only by fork")
+    monkeypatch.setattr(simulate, "run_experiment", lambda config, k: 0)
+    workers = min(2, os.cpu_count() or 1)
+
+    def peak(experiments: int) -> int:
+        configs = [ExperimentConfig(bits=2, path_len=1, num_experiments=experiments)]
+        tracemalloc.start()
+        try:
+            assert run_grid(configs, workers=workers)[0].matches == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm-up: imports and per-width caches
+    assert abs(peak(10**5) - peak(10**3)) < 1 << 20
 
 
 def test_serial_run_grid_memory_is_independent_of_experiments(monkeypatch):
