@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--siblings", choices=(WIDE, TRUNCATED), default=WIDE,
                    help="path element width: full hash width, or truncated to --bits")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, capped at the CPU count and the experiment count")
+                   help="worker processes, capped at the CPUs this process may run on "
+                        "and the experiment count")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_simulate)
 

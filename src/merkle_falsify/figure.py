@@ -37,6 +37,26 @@ MARGIN_TOP = 30
 MARGIN_BOTTOM = 50
 
 
+def _csv_rows(text: str):
+    """The rows of ``text``, header first, as ``csv.reader`` splits them.
+
+    A ``csv.Error`` (a field over the module's size limit, say) is raised
+    again as ValueError naming the row, counted as ``read_simulation_csv``
+    counts them: the header is row 0.
+    """
+    reader = csv.reader(io.StringIO(text))
+    n = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"row {n} is not valid CSV: {exc}") from exc
+        yield row
+        n += 1
+
+
 def read_simulation_csv(text: str) -> list[dict]:
     """Parse a simulation CSV, accepting only rows that ``simulate`` writes.
 
@@ -50,10 +70,11 @@ def read_simulation_csv(text: str) -> list[dict]:
     row's, is rejected too.  It writes the whole product of its bits and
     path_len values, sorted by bits and then path_len, so the rows must be
     exactly the sorted product of their distinct bits and path_len values; a
-    missing or misplaced cell is rejected.  Anything else raises ValueError
-    naming the row or the cell.
+    missing or misplaced cell is rejected.  Anything else, a row the csv
+    module cannot split included, raises ValueError naming the row or the
+    cell.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = tuple(next(reader))
     except StopIteration:

@@ -22,7 +22,8 @@ and a level form that share one mask table per width.
   bind it once and fold raw bytes.
 - ``_level_fn(spec, oracle=None)`` -- the level form, for tree building.  It
   returns an ``inputs -> bytes`` function whose result is the per-call
-  outputs laid end to end, computed a whole level at a time.
+  outputs laid end to end, computed a whole level at a time and written
+  once, into the buffer it is returned in.
 
 These two are the only places that know truncation and the ideal-oracle bit
 layout.
@@ -31,6 +32,7 @@ layout.
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -214,21 +216,26 @@ def _level_fn(
     """The level form of the kernel: many inputs hashed into one buffer.
 
     The returned function maps ``inputs`` to
-    ``b"".join(node_fn(spec, oracle)(x) for x in inputs)``, built in one
-    ``bytearray`` so that no per-node object outlives its append.  For
-    ``sha256`` each digest is cut to ``spec.nbytes`` as it is appended, and
-    the pad bits of the whole level's last-byte column are cleared at the
-    end with one ``bytes.translate``; ``ideal`` appends the per-call form's
-    output.  The oracle pairing is checked as in ``node_fn``.
+    ``b"".join(node_fn(spec, oracle)(x) for x in inputs)``.  Each node is
+    written once, into an ``io.BytesIO`` whose ``getvalue()`` (in CPython)
+    hands its buffer over as the returned ``bytes``, so the level is never
+    copied and no per-node object outlives its write.  For ``sha256`` each
+    digest is cut to ``spec.nbytes`` as it is written; at widths with pad
+    bits the last-byte column is then masked in place, through a view that
+    is released before ``getvalue()`` (a live view would make it copy), and
+    two copies of that column exist while it is masked.  ``ideal`` writes
+    the per-call form's output.  The oracle pairing is checked as in
+    ``node_fn``.
     """
     node = node_fn(spec, oracle)
     if spec.algorithm == IDEAL:
 
         def ideal_level(inputs: Iterable[bytes]) -> bytes:
-            buf = bytearray()
+            buf = io.BytesIO()
+            write = buf.write
             for x in inputs:
-                buf += node(x)
-            return bytes(buf)
+                write(node(x))
+            return buf.getvalue()
 
         return ideal_level
     sha = _sha256
@@ -236,11 +243,13 @@ def _level_fn(
     table = _MASKS.get(spec.bits % 8)
 
     def sha256_level(inputs: Iterable[bytes]) -> bytes:
-        buf = bytearray()
+        buf = io.BytesIO()
+        write = buf.write
         for x in inputs:
-            buf += sha(x).digest()[:nb]
+            write(sha(x).digest()[:nb])
         if table is not None:
-            buf[nb - 1 :: nb] = buf[nb - 1 :: nb].translate(table)
-        return bytes(buf)
+            with buf.getbuffer() as view:
+                view[nb - 1 :: nb] = view[nb - 1 :: nb].tobytes().translate(table)
+        return buf.getvalue()
 
     return sha256_level

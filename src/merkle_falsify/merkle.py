@@ -211,10 +211,13 @@ def proof_to_json(proof: MerkleProof) -> str:
 
 
 def proof_from_json(text: str) -> MerkleProof:
-    """Parse a serialized proof; malformed JSON or an invalid proof raises ValueError."""
+    """Parse a serialized proof; malformed JSON or an invalid proof raises ValueError.
+
+    JSON nested deeper than the parser's recursion limit counts as malformed.
+    """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"proof is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("proof JSON must be an object")

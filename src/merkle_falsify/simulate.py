@@ -280,11 +280,22 @@ def _run_range(task: tuple[ExperimentConfig, int, int]) -> int:
     return sum(run_experiment(config, k) for k in range(start, stop))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one.
+
+    ``os.cpu_count()`` counts the host's CPUs, which can be many more than a
+    cpuset or ``taskset`` lets this process use.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResult]:
     """One CellResult per config, in order; independent of worker count.
 
     Experiments fan out over a process pool of at most
-    min(workers, number of experiments, CPU count) processes, as ranges of
+    min(workers, number of experiments, usable CPUs) processes, as ranges of
     one cell's consecutive experiments, about four ranges per process.  The
     pool receives at most len(configs) + 4 * pool size ranges, so the
     parent's memory does not grow with the number of experiments.  Range
@@ -296,7 +307,7 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     num_tasks = sum(config.num_experiments for config in configs)
     # The pool starts all of its processes up front, so never ask for more
     # than there are tasks or CPUs to run them.
-    pool_size = min(workers, num_tasks, os.cpu_count() or 1)
+    pool_size = min(workers, num_tasks, _usable_cpus())
     # ceil, so that whole ranges number at most 4 * pool_size; each cell
     # adds at most one part-filled range.
     step = -(-num_tasks // (4 * pool_size))

@@ -225,6 +225,13 @@ def test_merkle_error_paths(tmp_path, capsys):
     assert main(["merkle", "verify", "--block", str(block), "--proof", str(bad), "--root", good_root]) == 2
     assert main(["merkle", "verify", "--block", str(block), "--proof", str(proof), "--root", "zz"]) == 2
     capsys.readouterr()
+    # nested past the JSON parser's recursion limit: bad input, not a crash
+    bad.write_text("[" * 100_000)
+    assert main(["merkle", "verify", "--block", str(block), "--proof", str(bad), "--root", good_root]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: proof is not valid JSON: ")
+    assert "Traceback" not in captured.err
 
 
 def test_merkle_verify_relabelled_proof_is_bad_input(tmp_path, capsys):
@@ -292,6 +299,13 @@ def test_figure_malformed_csv(tmp_path, capsys):
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
+    # a field past the csv module's size limit: bad input, not a crash
+    bad.write_text(f"{header}\n2,1,100,44,{'4' * 200_000},0.4375,0.0496,0.05,0\n")
+    assert main(["figure", str(bad), "--output", str(svg)]) == 2
+    assert not svg.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 1 is not valid CSV: field larger than")
+    assert "Traceback" not in err
     # the row as the emitter writes it draws
     good = "2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0"
     bad.write_text(f"{header}\n{good}\n")

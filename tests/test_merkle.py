@@ -232,6 +232,24 @@ def test_tree_memory_is_flat():
         assert tree.height == 14
         assert held <= limit, (bits, held)
         assert peak <= 1.1 * held, (bits, held, peak)
+    # the level form writes each level once, into the buffer it returns: no
+    # second copy of the level exists while it is built
+    inputs = [i.to_bytes(64, "big") for i in range(1 << 14)]
+    for spec, oracle in (
+        (HashSpec(SHA256, 8), None),
+        (SPEC256, None),
+        (HashSpec(IDEAL, 13), OracleState(3)),
+        (HashSpec(IDEAL, 64), OracleState(3)),
+    ):
+        level_fn = hashing._level_fn(spec, oracle)
+        tracemalloc.start()
+        try:
+            level = level_fn(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(level) == spec.nbytes << 14
+        assert peak <= 1.2 * len(level), (spec, len(level), peak)
 
 
 def test_node_payload_verifies_as_leaf():

@@ -113,7 +113,8 @@ assert heavy() == [], heavy()
 
 def pool_sees_numpy():
     # A stand-in pool records what is loaded when run_grid constructs it; the
-    # CPU count is patched so that two workers are asked for on any host.
+    # usable CPU count is patched so that two workers are asked for on any
+    # host.
     seen = []
 
     class RecordingPool:
@@ -130,7 +131,7 @@ def pool_sees_numpy():
             return map(fn, tasks)
 
     concurrent.futures.ProcessPoolExecutor = RecordingPool
-    os.cpu_count = lambda: 2
+    simulate._usable_cpus = lambda: 2
     grid = simulate.build_grid([2], [1], trials_per_experiment=3, num_experiments=2)
     simulate.run_grid(grid, workers=2)
     assert seen == [True], seen

@@ -414,7 +414,7 @@ def pool_calls(monkeypatch):
 
 
 def test_run_grid_pool_size_is_capped(monkeypatch, pool_calls):
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     forty = build_grid([2, 3], [1], trials_per_experiment=3, num_experiments=20)
     serial = [c.matches for c in run_grid(forty)]
     three = build_grid([2], [1], trials_per_experiment=3, num_experiments=3)
@@ -428,10 +428,24 @@ def test_run_grid_pool_size_is_capped(monkeypatch, pool_calls):
     assert pool_calls[1][1] == [(2, 0, 1), (2, 1, 2), (2, 2, 3)]
     assert pool_calls[2][1] == [(b, lo, lo + 5) for b in (2, 3) for lo in (0, 5, 10, 15)]
 
-    pool_calls.clear()
+
+def test_usable_cpus_is_the_affinity_set(monkeypatch, pool_calls):
+    # the pool is capped by the CPUs this process may run on, not the host's
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert simulate._usable_cpus() == 1
+    grid = build_grid([2], [1], trials_per_experiment=3, num_experiments=8)
+    serial = [c.matches for c in run_grid(grid)]
+    assert [c.matches for c in run_grid(grid, workers=64)] == serial
+    assert pool_calls == []  # a 1-CPU affinity runs in-process
+
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert simulate._usable_cpus() == 3
+    # without an affinity call, the host count; an unknown count is one CPU
+    monkeypatch.delattr(simulate.os, "sched_getaffinity")
+    assert simulate._usable_cpus() == 64
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-    assert [c.matches for c in run_grid(forty, workers=1000)] == serial
-    assert pool_calls == []  # one usable CPU runs in-process
+    assert simulate._usable_cpus() == 1
 
 
 def test_run_grid_pool_tasks_are_bounded(monkeypatch, pool_calls):
@@ -439,7 +453,7 @@ def test_run_grid_pool_tasks_are_bounded(monkeypatch, pool_calls):
     # within one cell and together tiling it, whatever the experiment count
     monkeypatch.setattr(simulate, "run_experiment", lambda config, k: k % 2)
     for cpus in (2, 3, 8):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         for counts in ((1, 1), (5, 9, 2), (7,) * 5, (10**6, 3)):
             configs = [
                 ExperimentConfig(bits=b, path_len=1, num_experiments=n)
