@@ -6,11 +6,19 @@ newline-delimited block files), figure (SVG chart from a simulation CSV).
 
 Exit codes: 0 success, 1 operational failure (verification mismatch, cell
 beyond 5 sigma, unwritable output), 2 usage or malformed input.
+
+The argument parser is built once per process, on the first ``main`` call
+(``build_parser`` is cached), not at import and not on every call.  Its
+``set_defaults(func=...)`` binds each ``cmd_*`` function at that first
+build, so a wrapper installed on a ``cmd_*`` name later is not seen.  The
+names the ``cmd_*`` functions call (``run_grid``, ``render_figure``,
+``_write_output`` and the rest) are still looked up on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -168,6 +176,7 @@ def cmd_figure(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="merkle-falsify",
@@ -229,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -171,6 +171,9 @@ _MASKS = {rem: _mask_table(rem) for rem in range(1, 8)}
 # slices are the interpreter's shared single-byte objects, so these hold no
 # bytes objects of their own.
 _TAILS = {rem: tuple(table[v : v + 1] for v in range(256)) for rem, table in _MASKS.items()}
+# The level form masks the last-byte column this many nodes at a time, so
+# the column copies it makes stay a few hundred bytes, not a level's worth.
+_MASK_NODES = 256
 
 
 def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
@@ -221,9 +224,10 @@ def _level_fn(
     hands its buffer over as the returned ``bytes``, so the level is never
     copied and no per-node object outlives its write.  For ``sha256`` each
     digest is cut to ``spec.nbytes`` as it is written; at widths with pad
-    bits the last-byte column is then masked in place, through a view that
-    is released before ``getvalue()`` (a live view would make it copy), and
-    two copies of that column exist while it is masked.  ``ideal`` writes
+    bits the last-byte column is then masked in place, ``_MASK_NODES`` nodes
+    at a time, through a view that is released before ``getvalue()`` (a live
+    view would make it copy); two copies of one such slice of the column
+    exist while it is masked, whatever the level's size.  ``ideal`` writes
     the per-call form's output.  The oracle pairing is checked as in
     ``node_fn``.
     """
@@ -241,6 +245,7 @@ def _level_fn(
     sha = _sha256
     nb = spec.nbytes
     table = _MASKS.get(spec.bits % 8)
+    step = _MASK_NODES * nb
 
     def sha256_level(inputs: Iterable[bytes]) -> bytes:
         buf = io.BytesIO()
@@ -249,7 +254,9 @@ def _level_fn(
             write(sha(x).digest()[:nb])
         if table is not None:
             with buf.getbuffer() as view:
-                view[nb - 1 :: nb] = view[nb - 1 :: nb].tobytes().translate(table)
+                for a in range(nb - 1, len(view), step):
+                    b = a + step
+                    view[a:b:nb] = view[a:b:nb].tobytes().translate(table)
         return buf.getvalue()
 
     return sha256_level

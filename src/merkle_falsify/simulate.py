@@ -55,7 +55,6 @@ builds, proofs and verification load neither.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import string
@@ -160,7 +159,8 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     import numpy as np
 
     key = (config.master_seed, config.bits, config.path_len, experiment_index)
-    rng = np.random.default_rng(_derive_seed("seed", *key))
+    seed = _derive_seed("seed", *key)
+    rng = np.random.default_rng(seed)
     oracle = None
     if config.oracle_kind == IDEAL:
         oracle = OracleState(_derive_seed("oracle", *key))
@@ -173,11 +173,12 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     width = config.sibling_nbytes
 
     # Fixed draw order: path bytes, base data, substitute data, resamples.
-    # The path bytes are read later, from a copy of the generator, and only
-    # where a fold consumes them; the main generator skips past them.  Like
+    # The path bytes are read later, from a second PCG64 seeded like the
+    # main generator (so it starts at the same state), and only where a fold
+    # consumes them; the main generator skips past them.  Like
     # Generator.bytes(n), which draws ceil(n / 4) 32-bit halves, it ends with
     # the high half of the last output buffered when that count is odd.
-    paths = copy.deepcopy(rng.bit_generator)
+    paths = np.random.PCG64(seed)
     n32 = (trials * m * width + 3) // 4
     rng.bit_generator.advance(n32 // 2)
     if n32 % 2:
@@ -219,15 +220,16 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
                 hi = lo + _WINDOW_BYTES
             # Fold the levels whose elements lie wholly in the window.  The
             # inner loop makes no refill test, so a level costs no more
-            # than with the whole path in memory.
-            i = start - lo
+            # than with the whole path in memory.  The range is never empty:
+            # the refill test leaves this trial's next element in the window.
             stop = min(end, hi - width + 1) - lo
-            while genuine != forged and i < stop:
+            for i in range(start - lo, stop, width):
                 s = window[i : i + width]
                 genuine = node(genuine + s)
                 forged = node(forged + s)
-                i += width
-            start = lo + i
+                if genuine == forged:
+                    break
+            start = lo + i + width
         matches += genuine == forged
     return matches
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from merkle_falsify.cli import main
+from merkle_falsify.cli import SEED_ENV_VAR, build_parser, main
 from merkle_falsify.simulate import MAX_DRAW_BYTES
 
 from frozen_values import SHA_ABC_HEX
@@ -147,6 +147,27 @@ def test_simulate_env_seed(tmp_path, capsys, monkeypatch):
     assert flag.read_bytes() == env.read_bytes()
     monkeypatch.setenv("MERKLE_FALSIFY_SEED", "abc")
     assert main(args) == 2
+    capsys.readouterr()
+
+
+def test_shared_parser_keeps_calls_apart(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in a process, so nothing a call parses may
+    # reach the next: a usage error and another command between two equal
+    # runs leave their CSVs byte-identical, and the environment's seed is
+    # read on every call
+    assert build_parser() is build_parser()
+    args = ["simulate", "--bits", "3,6", "--path-lens", "0,5", "--trials", "120", "--experiments", "2"]
+    first, again, other = (tmp_path / f"{name}.csv" for name in ("first", "again", "other"))
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    assert main(args + ["--output", str(first)]) == 0
+    assert main(["simulate", "--trials", "many"]) == 2
+    assert main(["figure", str(first), "--output", str(tmp_path / "fig.svg")]) == 0
+    assert main(args + ["--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    monkeypatch.setenv(SEED_ENV_VAR, "10")
+    assert main(args + ["--output", str(other)]) == 0
+    seeds = {line.rsplit(",", 1)[1] for line in other.read_text().splitlines()[1:]}
+    assert seeds == {"10"}
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ from merkle_falsify.hashing import (
     Digest,
     HashSpec,
     OracleState,
+    _MASK_NODES,
     _level_fn,
     node_fn,
 )
@@ -108,8 +109,14 @@ def test_sha256_kernel_every_width(data):
 
 def test_level_form_equals_per_call_form():
     # the level form is the per-call outputs laid end to end, at every width
-    # of both backends; the empty list gives the empty level
-    batches = ([], [b""], [b"abc", b"", bytes(range(64)), b"\xff" * 33, b"abc"])
+    # of both backends; the empty list gives the empty level, and the last
+    # batch spans two whole pad-masking slices and part of a third
+    batches = (
+        [],
+        [b""],
+        [b"abc", b"", bytes(range(64)), b"\xff" * 33, b"abc"],
+        [i.to_bytes(2, "big") for i in range(2 * _MASK_NODES + 3)],
+    )
     specs = [(HashSpec(SHA256, b), None) for b in range(1, 257)]
     specs += [(HashSpec(IDEAL, b), OracleState(7)) for b in range(1, 65)]
     for spec, oracle in specs:

@@ -233,10 +233,13 @@ def test_tree_memory_is_flat():
         assert held <= limit, (bits, held)
         assert peak <= 1.1 * held, (bits, held, peak)
     # the level form writes each level once, into the buffer it returns: no
-    # second copy of the level exists while it is built
+    # second copy of the level exists while it is built, nor while its pad
+    # bits are masked (at 3 bits the last-byte column is the whole level)
     inputs = [i.to_bytes(64, "big") for i in range(1 << 14)]
     for spec, oracle in (
+        (HashSpec(SHA256, 3), None),
         (HashSpec(SHA256, 8), None),
+        (HashSpec(SHA256, 12), None),
         (SPEC256, None),
         (HashSpec(IDEAL, 13), OracleState(3)),
         (HashSpec(IDEAL, 64), OracleState(3)),

@@ -92,6 +92,8 @@ def path(name):
 
 assert heavy() == [], heavy()
 assert "mpmath" not in sys.modules
+# The parser is built by the first main call, not at import.
+assert cli.build_parser.cache_info().currsize == 0
 with open(path("blocks.txt"), "w") as fh:
     fh.write("a\nb\nc\n")
 with open(path("block.txt"), "w") as fh:
@@ -143,6 +145,8 @@ assert in_fork(pool_sees_numpy) == 0
 run("simulate", "--bits", "2", "--path-lens", "1", "--trials", "5", "--experiments", "1",
     "--workers", "1", "--output", path("s.csv"))
 assert heavy() == ["numpy"], heavy()
+# Every command above shared one parser.
+assert cli.build_parser.cache_info().misses == 1, cli.build_parser.cache_info()
 '''
 
 
@@ -151,7 +155,8 @@ def test_import_boundary(tmp_path):
     # import, prob, table, merkle and figure load neither numpy nor the
     # process pool, and import and merkle load no mpmath either; prob loads
     # mpmath, a serial simulation loads numpy, and run_grid loads numpy
-    # before it constructs a pool
+    # before it constructs a pool; import builds no argument parser, and
+    # every command then shares the one the first builds
     sim_csv = tmp_path / "sim.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([
