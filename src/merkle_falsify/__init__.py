@@ -5,7 +5,6 @@ from .hashing import (
     SHA256,
     Digest,
     HashSpec,
-    OracleState,
 )
 from .merkle import (
     MerkleProof,
@@ -45,7 +44,6 @@ __all__ = [
     "SHA256",
     "Digest",
     "HashSpec",
-    "OracleState",
     "MerkleProof",
     "MerkleTree",
     "ProofStep",

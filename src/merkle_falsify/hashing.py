@@ -5,9 +5,10 @@ Two hash backends share one interface:
 - ``sha256``: SHA-256 truncated to the *most significant* ``bits`` bits
   (1..256).
 - ``ideal``: a seeded random oracle returning uniform ``bits``-bit values
-  (1..64).  Each query is one SHA-256 of ``seed || input``, so a repeated
-  query returns the same digest and nothing is cached: every value is
-  reproducible from the seed alone.
+  (1..64).  The seed is the spec's own ``seed`` field (0..2^64 - 1; a
+  ``sha256`` spec's seed is 0).  Each query is one SHA-256 of
+  ``seed || input``, so a repeated query returns the same digest and nothing
+  is cached: every value is reproducible from the spec alone.
 
 Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
 bytes, left-aligned, with the unused low-order bits of the final byte forced
@@ -16,11 +17,10 @@ to zero.
 Every node hash in the package goes through ``hashing``: a per-call form
 and a level form that share one mask table per width.
 
-- ``node_fn(spec, oracle=None)`` -- the per-call form.  It checks the
-  backend/oracle pairing once and returns a ``bytes -> bytes`` function
-  yielding the truncated digest bytes; the simulator and proof verification
-  bind it once and fold raw bytes.
-- ``_level_fn(spec, oracle=None)`` -- the level form, for tree building.  It
+- ``node_fn(spec)`` -- the per-call form.  It returns a ``bytes -> bytes``
+  function yielding the truncated digest bytes; the simulator and proof
+  verification bind it once and fold raw bytes.
+- ``_level_fn(spec)`` -- the level form, for tree building.  It
   returns an ``inputs -> bytes`` function whose result is the per-call
   outputs laid end to end, computed a whole level at a time and written
   once, into the buffer it is returned in.
@@ -71,10 +71,12 @@ def _require_int(name: str, value, lo: int, hi: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class HashSpec:
-    """Hash configuration: which backend, and how many output bits to keep."""
+    """Hash configuration: which backend, how many output bits to keep, and
+    the ideal oracle's seed (0..2^64 - 1; always 0 for ``sha256``)."""
 
     algorithm: str = SHA256
     bits: int = 256
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHMS:
@@ -82,6 +84,8 @@ class HashSpec:
                 f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}"
             )
         _require_int(f"{self.algorithm} bits", self.bits, 1, _MAX_BITS[self.algorithm])
+        max_seed = _MAX_SEED if self.algorithm == IDEAL else 0
+        _require_int(f"{self.algorithm} seed", self.seed, 0, max_seed)
 
     @property
     def nbytes(self) -> int:
@@ -131,21 +135,21 @@ class Digest:
 
 
 class OracleState:
-    """Random oracle, reproducible from a 64-bit seed.
+    """Random oracle behind an ``ideal`` spec, reproducible from its seed.
 
     Each query draws its 64-bit value by hashing ``seed || input`` with
     full-width SHA-256 and keeping the low 64 bits.  Nothing is cached: a
     repeated query hashes again and gets the same value, and the state's size
     stays constant however many inputs are queried.  ``node_fn`` then keeps the
-    low ``bits`` bits of that value, so the same state can serve any width
-    up to 64 consistently.  ``len()`` is the number of values drawn so far,
-    one per query.
+    low ``bits`` bits of that value, so one seed gives consistent values at
+    every width up to 64.  ``len()`` is the number of values drawn so far,
+    one per query.  ``HashSpec`` checks the seed; ``node_fn`` builds one state
+    per kernel it returns.
 
     Not safe for concurrent mutation -- give each worker its own instance.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        _require_int("oracle seed", seed, 0, _MAX_SEED)
+    def __init__(self, seed: int) -> None:
         self._prefix = seed.to_bytes(8, "big")
         self._draws = 0
 
@@ -176,28 +180,22 @@ _TAILS = {rem: tuple(table[v : v + 1] for v in range(256)) for rem, table in _MA
 _MASK_NODES = 256
 
 
-def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[bytes], bytes]:
+def node_fn(spec: HashSpec) -> Callable[[bytes], bytes]:
     """The hashing kernel: a ``bytes -> bytes`` function for ``spec``.
 
     It returns ``spec.nbytes`` bytes, left-aligned, with the pad bits of the
     final byte zero -- exactly ``Digest.data``.  ``sha256`` keeps the most
     significant ``bits`` bits of the digest; ``ideal`` keeps the low ``bits``
-    bits of the oracle's 64-bit value.
-
-    An ``oracle`` must be supplied exactly when ``spec.algorithm`` is
-    ``ideal``; passing one alongside ``sha256`` (or omitting it for
-    ``ideal``) is an error rather than a silent fallback.
+    bits of the 64-bit value of an ``OracleState`` seeded with ``spec.seed``
+    and made when ``node_fn`` is called, so every query goes through
+    ``OracleState.value64``.
     """
     nb = spec.nbytes
     if spec.algorithm == IDEAL:
-        if oracle is None:
-            raise ValueError("ideal algorithm requires an OracleState")
-        value64 = oracle.value64
+        value64 = OracleState(spec.seed).value64
         bitmask = (1 << spec.bits) - 1
         pad = (8 - spec.bits % 8) % 8
         return lambda x: ((value64(x) & bitmask) << pad).to_bytes(nb, "big")
-    if oracle is not None:
-        raise ValueError("oracle supplied but algorithm is sha256")
     sha = _sha256
     if spec.bits % 8 == 0:
         return lambda x: sha(x).digest()[:nb]
@@ -213,13 +211,11 @@ def node_fn(spec: HashSpec, oracle: OracleState | None = None) -> Callable[[byte
     return node
 
 
-def _level_fn(
-    spec: HashSpec, oracle: OracleState | None = None
-) -> Callable[[Iterable[bytes]], bytes]:
+def _level_fn(spec: HashSpec) -> Callable[[Iterable[bytes]], bytes]:
     """The level form of the kernel: many inputs hashed into one buffer.
 
     The returned function maps ``inputs`` to
-    ``b"".join(node_fn(spec, oracle)(x) for x in inputs)``.  Each node is
+    ``b"".join(node_fn(spec)(x) for x in inputs)``.  Each node is
     written once, into an ``io.BytesIO`` whose ``getvalue()`` (in CPython)
     hands its buffer over as the returned ``bytes``, so the level is never
     copied and no per-node object outlives its write.  For ``sha256`` each
@@ -228,10 +224,9 @@ def _level_fn(
     at a time, through a view that is released before ``getvalue()`` (a live
     view would make it copy); two copies of one such slice of the column
     exist while it is masked, whatever the level's size.  ``ideal`` writes
-    the per-call form's output.  The oracle pairing is checked as in
-    ``node_fn``.
+    the per-call form's output.
     """
-    node = node_fn(spec, oracle)
+    node = node_fn(spec)
     if spec.algorithm == IDEAL:
 
         def ideal_level(inputs: Iterable[bytes]) -> bytes:

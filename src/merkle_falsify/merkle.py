@@ -4,13 +4,14 @@ Construction pairs digests left to right.  A level with an odd number of
 digests is first extended by duplicating its final digest, so every level
 pairs cleanly; a single-leaf tree is just the leaf digest.  A parent node is
 the kernel ``hashing.node_fn`` applied to the bytes ``left || right`` under
-the tree's :class:`HashSpec`.  Tree code binds the kernel once per call and
-hashes raw bytes: ``build_tree`` through its level form, which hashes a
-whole level into one buffer, and ``verify_proof`` through the per-call
-form.  A tree stores each level as one ``bytes`` buffer of the kernel's raw
-outputs laid end to end, so a node costs its ``spec.nbytes`` bytes and no
-object of its own.  A :class:`Digest` is built only for a
-value that leaves the code: a tree's root and the siblings of a proof.
+the tree's :class:`HashSpec`, which for the ideal oracle carries its seed, so
+the spec alone fixes every digest of a tree.  Tree code binds the kernel
+once per call and hashes raw bytes: ``build_tree`` through its level form,
+which hashes a whole level into one buffer, and ``verify_proof`` through the
+per-call form.  A tree stores each level as one ``bytes`` buffer of the
+kernel's raw outputs laid end to end, so a node costs its ``spec.nbytes``
+bytes and no object of its own.  A :class:`Digest` is built only for a value
+that leaves the code: a tree's root and the siblings of a proof.
 
 An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
 digest consumed at each level together with the side that sibling occupies
@@ -40,7 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, OracleState, _level_fn, _require_int, node_fn
+from .hashing import Digest, HashSpec, _level_fn, _require_int, node_fn
 
 LEFT = "left"
 RIGHT = "right"
@@ -123,13 +124,11 @@ class MerkleTree:
         return len(self.levels) - 1
 
 
-def build_tree(
-    leaves: Sequence[bytes], spec: HashSpec, oracle: OracleState | None = None
-) -> MerkleTree:
+def build_tree(leaves: Sequence[bytes], spec: HashSpec) -> MerkleTree:
     """Hash ``leaves`` and pair upward until a single root remains."""
     if len(leaves) == 0:
         raise ValueError("cannot build a tree from zero leaves")
-    hash_level = _level_fn(spec, oracle)
+    hash_level = _level_fn(spec)
     nb = spec.nbytes
     pair = 2 * nb
     level = hash_level(leaves)
@@ -162,11 +161,7 @@ def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
 
 
 def verify_proof(
-    data: bytes,
-    proof: MerkleProof,
-    expected_root: Digest,
-    spec: HashSpec,
-    oracle: OracleState | None = None,
+    data: bytes, proof: MerkleProof, expected_root: Digest, spec: HashSpec
 ) -> bool:
     """Three-step check: hash the block, fold the path, compare to the root.
 
@@ -181,7 +176,7 @@ def verify_proof(
         raise ValueError(
             f"expected root has {expected_root.bits} bits, spec.bits is {spec.bits}"
         )
-    node = node_fn(spec, oracle)
+    node = node_fn(spec)
     current = node(data)
     for step in proof.steps:
         if step.side == RIGHT:

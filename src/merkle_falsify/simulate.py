@@ -18,9 +18,10 @@ inputs were queried before.  A trial whose chains never meet still folds
 all m levels, so cells with small P cost what a full fold costs.
 
 Every fold step is one call of the package's single hashing kernel,
-``hashing.node_fn``, bound once per experiment; the simulator keeps no copy
-of the truncation or oracle logic, and hashes raw bytes without building
-``Digest`` values.
+``hashing.node_fn``, bound once per experiment to the experiment's
+``HashSpec``; an ideal-oracle experiment's spec carries its own oracle seed.
+The simulator keeps no copy of the truncation or oracle logic, and hashes raw
+bytes without building ``Digest`` values.
 
 Path elements are full-width random values (32 bytes) by default.  That is
 what the closed form models: every level then contributes an independent
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .hashing import _MAX_SEED, IDEAL, SHA256, HashSpec, OracleState, _require_int, node_fn
+from .hashing import _MAX_SEED, IDEAL, SHA256, HashSpec, _require_int, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
 
 if TYPE_CHECKING:
@@ -137,8 +138,9 @@ class CellResult:
 def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: int) -> int:
     """Low 64 bits of SHA-256("<tag>:<master>:<bits>:<path_len>:<index>").
 
-    Tag "seed" seeds an experiment's draws; tag "oracle" seeds its ideal
-    oracle, so the oracle's randomness never overlaps the draw stream.
+    Tag "seed" seeds an experiment's draws; tag "oracle" is the seed of its
+    ideal-oracle ``HashSpec``, so the oracle's randomness never overlaps the
+    draw stream.  A ``sha256`` experiment derives only the first.
     """
     text = f"{tag}:{master_seed}:{bits}:{path_len}:{index}"
     return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest()[-8:], "big")
@@ -161,11 +163,10 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     key = (config.master_seed, config.bits, config.path_len, experiment_index)
     seed = _derive_seed("seed", *key)
     rng = np.random.default_rng(seed)
-    oracle = None
-    if config.oracle_kind == IDEAL:
-        oracle = OracleState(_derive_seed("oracle", *key))
     spec = config.hash_spec()
-    node = node_fn(spec, oracle)
+    if spec.algorithm == IDEAL:
+        spec = HashSpec(IDEAL, spec.bits, seed=_derive_seed("oracle", *key))
+    node = node_fn(spec)
 
     trials = config.trials_per_experiment
     m = config.path_len
@@ -254,18 +255,20 @@ def cell_statistics(
     bits: int, path_len: int, total_trials: int, matches: int
 ) -> tuple[float, float, float]:
     """(exact_p, std_error, z_score): the closed form P at (bits, path_len),
-    sqrt(P(1 - P) / total_trials), and (matches / total_trials - P) / std_error
-    (0 where std_error is 0)."""
+    sqrt(P(1 - P) / total_trials), and (matches / total_trials - P) / std_error.
+
+    std_error is 0 only where P rounds to 1 at the working precision.  There
+    z is 0 if every trial matched and -inf otherwise, so a saturated cell with
+    a shortfall fails the |z| <= Z_LIMIT test instead of passing."""
     import mpmath
 
     exact = exact_falsification_prob(PathParams(bits, path_len))
     with mpmath.workdps(PRECISION_DPS):
         std_error = mpmath.sqrt(exact * (1 - exact) / total_trials)
-        z = (
-            (mpmath.mpf(matches) / total_trials - exact) / std_error
-            if std_error != 0
-            else mpmath.mpf(0)
-        )
+        if std_error != 0:
+            z = (mpmath.mpf(matches) / total_trials - exact) / std_error
+        else:
+            z = mpmath.mpf(0) if matches == total_trials else mpmath.ninf
     return float(exact), float(std_error), float(z)
 
 

@@ -47,6 +47,10 @@ FOUR_LEAF_ROOT_HEX = "925a61bb3ca2f6ab3f841f0abcca50a4fa8b6c79344472a6642cba718a
 # subtree node (right).
 FOUR_LEAF_P1_SIB0_HEX = "b8c6f33f1780d30977c5e964f62e7959102a3694f1c28ae0834ab12f98a3dcb0"
 FOUR_LEAF_P1_SIB1_HEX = "19aa9d71a0890b4996b8ccf505c3fb2cb9abb9fe760f13d9a0e3447c7e651610"
+# The same 4-leaf tree under the ideal oracle at seed 11, by bit width:
+# standalone fold where each node is the low b bits of
+# SHA-256(seed_be8 || input), left-aligned in ceil(b / 8) bytes.
+FOUR_LEAF_IDEAL_SEED11_ROOT_HEX = {16: "3b9e", 13: "c3f8"}
 
 # 3-leaf tree over b"a", b"b", b"c" at 256 bits: last leaf duplicated.
 THREE_LEAF_ROOT_HEX = "d31a37ef6ac14a2db1470c4316beb5592e6afd4465022339adafda76a18ffabe"

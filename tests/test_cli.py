@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from merkle_falsify import cli, simulate
 from merkle_falsify.cli import SEED_ENV_VAR, build_parser, main
 from merkle_falsify.simulate import MAX_DRAW_BYTES
 
@@ -169,6 +170,26 @@ def test_shared_parser_keeps_calls_apart(tmp_path, capsys, monkeypatch):
     seeds = {line.rsplit(",", 1)[1] for line in other.read_text().splitlines()[1:]}
     assert seeds == {"10"}
     capsys.readouterr()
+
+
+def test_simulate_saturated_shortfall_fails(tmp_path, monkeypatch, capsys):
+    # P rounds to 1 at (2, 1000); a cell one match short of its trials is a
+    # FAIL with z = -inf, and figure accepts the row simulate writes for it
+    def short_grid(configs, workers=1):
+        return [simulate._finalize_cell(c, c.total_trials - 1) for c in configs]
+
+    monkeypatch.setattr(cli, "run_grid", short_grid)
+    sim = tmp_path / "sim.csv"
+    rc = main([
+        "simulate", "--bits", "2", "--path-lens", "1000", "--trials", "100",
+        "--experiments", "1", "--output", str(sim),
+    ])
+    assert rc == 1
+    status = capsys.readouterr().out
+    assert "matches=99/100" in status and "z=-inf FAIL" in status
+    assert sim.read_text().splitlines()[1].split(",")[7] == "-inf"
+    assert main(["figure", str(sim), "--output", str(tmp_path / "fig.svg")]) == 0
+    assert (tmp_path / "fig.svg").read_text().startswith("<svg")
 
 
 def test_simulate_truncated_flag(capsys):

@@ -18,9 +18,9 @@ from merkle_falsify.hashing import (
 from frozen_values import ORACLE_SEED5_Q_U64, SHA_ABC_HEX
 
 
-def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
+def hash_bytes(data: bytes, spec: HashSpec) -> Digest:
     """The kernel's output for ``data`` as a Digest."""
-    return Digest(node_fn(spec, oracle)(data), spec.bits)
+    return Digest(node_fn(spec)(data), spec.bits)
 
 
 def to_int(d: Digest) -> int:
@@ -62,11 +62,15 @@ def test_spec_validation():
     assert HashSpec(SHA256, 12).last_byte_mask == 0xF0
 
 
-def test_oracle_presence_enforced():
-    with pytest.raises(ValueError):
-        hash_bytes(b"x", HashSpec(IDEAL, 8))
-    with pytest.raises(ValueError):
-        hash_bytes(b"x", HashSpec(SHA256, 8), OracleState(0))
+def test_spec_seed_rule():
+    # the seed is the ideal oracle's: any 64-bit value there, 0 by default,
+    # and only 0 for sha256, which has no seed to vary
+    assert HashSpec(IDEAL, 8).seed == 0
+    assert HashSpec(IDEAL, 8, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    assert HashSpec(SHA256, 8, seed=0) == HashSpec(SHA256, 8)
+    for bad in (1, -1, 1 << 64, True, False, 0.0):
+        with pytest.raises(ValueError, match=r"sha256 seed must be an integer in 0\.\.0"):
+            HashSpec(SHA256, 8, seed=bad)
 
 
 def test_digest_validation():
@@ -117,31 +121,27 @@ def test_level_form_equals_per_call_form():
         [b"abc", b"", bytes(range(64)), b"\xff" * 33, b"abc"],
         [i.to_bytes(2, "big") for i in range(2 * _MASK_NODES + 3)],
     )
-    specs = [(HashSpec(SHA256, b), None) for b in range(1, 257)]
-    specs += [(HashSpec(IDEAL, b), OracleState(7)) for b in range(1, 65)]
-    for spec, oracle in specs:
-        node = node_fn(spec, oracle)
-        level = _level_fn(spec, oracle)
+    specs = [HashSpec(SHA256, b) for b in range(1, 257)]
+    specs += [HashSpec(IDEAL, b, seed=7) for b in range(1, 65)]
+    for spec in specs:
+        node = node_fn(spec)
+        level = _level_fn(spec)
         for inputs in batches:
             got = level(inputs)
             assert type(got) is bytes
             assert got == b"".join(node(x) for x in inputs), (spec, inputs)
-    with pytest.raises(ValueError):
-        _level_fn(HashSpec(IDEAL, 8))
-    with pytest.raises(ValueError):
-        _level_fn(HashSpec(SHA256, 8), OracleState(0))
 
 
 def test_oracle_repeat_query_is_deterministic():
-    oracle = OracleState(3)
-    spec = HashSpec(IDEAL, 16)
-    first = hash_bytes(b"payload", spec, oracle)
-    second = hash_bytes(b"payload", spec, oracle)
-    assert first == second
+    node = node_fn(HashSpec(IDEAL, 16, seed=3))
+    first = node(b"payload")
+    assert node(b"payload") == first
     # nothing is cached: each query is one draw
+    oracle = OracleState(3)
+    assert oracle.value64(b"payload") == oracle.value64(b"payload")
     assert len(oracle) == 2
-    # a second state with the same seed reproduces the value
-    assert hash_bytes(b"payload", spec, OracleState(3)) == first
+    # a second kernel with the same seed reproduces the value
+    assert node_fn(HashSpec(IDEAL, 16, seed=3))(b"payload") == first
 
 
 @given(
@@ -152,51 +152,48 @@ def test_oracle_repeat_query_is_deterministic():
 @settings(max_examples=60, deadline=None)
 def test_oracle_value_derivation(seed, data, others):
     # frozen: low 64 bits of sha256(seed_be8 || input)
-    oracle = OracleState(5)
-    assert oracle.value64(b"q") == ORACLE_SEED5_Q_U64
-    d = hash_bytes(b"q", HashSpec(IDEAL, 4), oracle)
+    assert OracleState(5).value64(b"q") == ORACLE_SEED5_Q_U64
+    d = hash_bytes(b"q", HashSpec(IDEAL, 4, seed=5))
     assert to_int(d) == ORACLE_SEED5_Q_U64 & 0xF
     # the same derivation for any seed and input, after unrelated queries
-    oracle = OracleState(seed)
+    node = node_fn(HashSpec(IDEAL, 64, seed=seed))
     for other in others:
-        oracle.value64(other)
-    expect = int.from_bytes(hashlib.sha256(seed.to_bytes(8, "big") + data).digest()[-8:], "big")
-    assert oracle.value64(data) == expect
+        node(other)
+    expect = hashlib.sha256(seed.to_bytes(8, "big") + data).digest()[-8:]
+    assert node(data) == expect
 
 
 def test_oracle_widths_consistent():
     # low-b truncation of one backing value: narrower output = low bits
-    oracle = OracleState(9)
-    v16 = to_int(hash_bytes(b"zz", HashSpec(IDEAL, 16), oracle))
-    v8 = to_int(hash_bytes(b"zz", HashSpec(IDEAL, 8), oracle))
+    v16 = to_int(hash_bytes(b"zz", HashSpec(IDEAL, 16, seed=9)))
+    v8 = to_int(hash_bytes(b"zz", HashSpec(IDEAL, 8, seed=9)))
     assert v8 == v16 & 0xFF
 
 
 def test_oracle_seed_range():
-    with pytest.raises(ValueError):
-        OracleState(-1)
-    with pytest.raises(ValueError):
-        OracleState(1 << 64)
-    for seed in (True, False):  # bool is an int subclass, not a seed
-        with pytest.raises(ValueError, match="oracle seed must be an integer in 0..18446744073709551615"):
-            OracleState(seed)
+    # bool is an int subclass, and 1.0 compares equal to 1, but neither is a seed
+    for bits in (1, 13, 64):
+        for seed in (-1, 1 << 64, True, False, 1.0):
+            with pytest.raises(
+                ValueError, match=r"ideal seed must be an integer in 0\.\.18446744073709551615"
+            ):
+                HashSpec(IDEAL, bits, seed=seed)
 
 
 def test_oracle_seed_sensitivity():
-    a = OracleState(1)
-    b = OracleState(2)
-    outs_a = [a.value64(str(i).encode()) for i in range(8)]
-    outs_b = [b.value64(str(i).encode()) for i in range(8)]
+    a = node_fn(HashSpec(IDEAL, 64, seed=1))
+    b = node_fn(HashSpec(IDEAL, 64, seed=2))
+    outs_a = [a(str(i).encode()) for i in range(8)]
+    outs_b = [b(str(i).encode()) for i in range(8)]
     assert outs_a != outs_b
 
 
 def test_oracle_uniformity_b4():
     # 10^5 distinct inputs: every 4-bit bucket within 5 binomial sigmas
-    oracle = OracleState(1234)
-    spec = HashSpec(IDEAL, 4)
+    node = node_fn(HashSpec(IDEAL, 4, seed=1234))
     counts = [0] * 16
     for i in range(100_000):
-        counts[to_int(hash_bytes(str(i).encode(), spec, oracle))] += 1
+        counts[node(str(i).encode())[0] >> 4] += 1
     expect = 100_000 / 16
     sigma = (100_000 * (1 / 16) * (15 / 16)) ** 0.5
     for c in counts:
@@ -204,11 +201,10 @@ def test_oracle_uniformity_b4():
 
 
 def test_hash_concat_ideal_pad_invariant():
-    oracle = OracleState(0)
     spec = HashSpec(IDEAL, 4)
-    a = hash_bytes(b"a", spec, oracle)
-    b = hash_bytes(b"b", spec, oracle)
-    out = hash_bytes(a.data + b.data, spec, oracle)
+    a = hash_bytes(b"a", spec)
+    b = hash_bytes(b"b", spec)
+    out = hash_bytes(a.data + b.data, spec)
     assert out.bits == 4
     assert out.data[-1] & 0x0F == 0
 
@@ -216,8 +212,7 @@ def test_hash_concat_ideal_pad_invariant():
 @given(st.binary(max_size=32), st.integers(min_value=1, max_value=64))
 @settings(max_examples=60, deadline=None)
 def test_ideal_pad_invariant_property(data, bits):
-    oracle = OracleState(77)
-    d = hash_bytes(data, HashSpec(IDEAL, bits), oracle)
+    d = hash_bytes(data, HashSpec(IDEAL, bits, seed=77))
     rem = bits % 8
     if rem:
         assert d.data[-1] & (0xFF >> rem) == 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merkle_falsify import hashing
-from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, OracleState, node_fn
+from merkle_falsify.hashing import IDEAL, SHA256, Digest, HashSpec, node_fn
 from merkle_falsify.merkle import (
     MerkleProof,
     ProofStep,
@@ -24,6 +24,7 @@ from merkle_falsify.merkle import (
 from frozen_values import (
     FOLD3_ROOT_HEX,
     FOUR_LEAF_BLOCKS,
+    FOUR_LEAF_IDEAL_SEED11_ROOT_HEX,
     FOUR_LEAF_P1_SIB0_HEX,
     FOUR_LEAF_P1_SIB1_HEX,
     FOUR_LEAF_ROOT_HEX,
@@ -34,9 +35,9 @@ from frozen_values import (
 SPEC256 = HashSpec(SHA256, 256)
 
 
-def hash_bytes(data: bytes, spec: HashSpec, oracle: OracleState | None = None) -> Digest:
+def hash_bytes(data: bytes, spec: HashSpec) -> Digest:
     """The kernel's output for ``data`` as a Digest."""
-    return Digest(node_fn(spec, oracle)(data), spec.bits)
+    return Digest(node_fn(spec)(data), spec.bits)
 
 
 def entries(level: bytes, spec: HashSpec) -> list[bytes]:
@@ -236,15 +237,15 @@ def test_tree_memory_is_flat():
     # second copy of the level exists while it is built, nor while its pad
     # bits are masked (at 3 bits the last-byte column is the whole level)
     inputs = [i.to_bytes(64, "big") for i in range(1 << 14)]
-    for spec, oracle in (
-        (HashSpec(SHA256, 3), None),
-        (HashSpec(SHA256, 8), None),
-        (HashSpec(SHA256, 12), None),
-        (SPEC256, None),
-        (HashSpec(IDEAL, 13), OracleState(3)),
-        (HashSpec(IDEAL, 64), OracleState(3)),
+    for spec in (
+        HashSpec(SHA256, 3),
+        HashSpec(SHA256, 8),
+        HashSpec(SHA256, 12),
+        SPEC256,
+        HashSpec(IDEAL, 13, seed=3),
+        HashSpec(IDEAL, 64, seed=3),
     ):
-        level_fn = hashing._level_fn(spec, oracle)
+        level_fn = hashing._level_fn(spec)
         tracemalloc.start()
         try:
             level = level_fn(inputs)
@@ -358,14 +359,14 @@ def dumps_reference(proof: MerkleProof) -> str:
 
 @given(
     st.integers(min_value=1, max_value=40),
-    st.sampled_from([(SHA256, b) for b in (1, 4, 7, 8, 12, 64, 255, 256)] + [(IDEAL, 13)]),
+    st.sampled_from(
+        [HashSpec(SHA256, b) for b in (1, 4, 7, 8, 12, 64, 255, 256)] + [HashSpec(IDEAL, 13, seed=5)]
+    ),
     st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_proof_json_is_canonical_dumps(n, width, data):
-    spec = HashSpec(*width)
-    oracle = OracleState(5) if spec.algorithm == IDEAL else None
-    tree = build_tree([f"c{i}".encode() for i in range(n)], spec, oracle)
+def test_proof_json_is_canonical_dumps(n, spec, data):
+    tree = build_tree([f"c{i}".encode() for i in range(n)], spec)
     index = data.draw(st.integers(min_value=0, max_value=n - 1))
     proof = generate_proof(tree, index)
     assert proof_to_json(proof) == dumps_reference(proof)
@@ -396,17 +397,15 @@ def test_proof_json_refuses_inexact_ints(bits, leaf_index):
 
 @given(
     st.integers(min_value=1, max_value=40),
-    st.sampled_from([(SHA256, b) for b in (1, 7, 12, 256)] + [(IDEAL, 13)]),
+    st.sampled_from([HashSpec(SHA256, b) for b in (1, 7, 12, 256)] + [HashSpec(IDEAL, 13, seed=7)]),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_proof_contract_property(n, width, data):
+def test_proof_contract_property(n, spec, data):
     # a proof exists only at the leaf index its sides spell and with every
     # sibling at its width, whether built directly or parsed from JSON
-    spec = HashSpec(*width)
-    oracle = OracleState(7) if spec.algorithm == IDEAL else None
     blocks = [f"p{i}".encode() for i in range(n)]
-    tree = build_tree(blocks, spec, oracle)
+    tree = build_tree(blocks, spec)
     index = data.draw(st.integers(min_value=0, max_value=n - 1))
     proof = generate_proof(tree, index)
     steps = proof.steps
@@ -419,7 +418,7 @@ def test_proof_contract_property(n, width, data):
     text = proof_to_json(proof)
     assert proof_from_json(text) == proof
     assert proof_to_json(proof_from_json(text)) == text
-    assert verify_proof(blocks[index], proof, tree.root, spec, oracle)
+    assert verify_proof(blocks[index], proof, tree.root, spec)
 
     obj = json.loads(text)
     obj["leaf_index"] = data.draw(st.integers(min_value=0).filter(lambda i: i != index))
@@ -478,15 +477,23 @@ def test_proof_json_malformed():
 
 
 def test_ideal_oracle_tree():
-    spec = HashSpec(IDEAL, 16)
-    oracle = OracleState(11)
+    spec = HashSpec(IDEAL, 16, seed=11)
     blocks = [b"u", b"v", b"w"]
-    tree = build_tree(blocks, spec, oracle)
+    tree = build_tree(blocks, spec)
     proof = generate_proof(tree, 1)
-    assert verify_proof(b"v", proof, tree.root, spec, oracle)
-    assert not verify_proof(b"x", proof, tree.root, spec, oracle)
+    assert verify_proof(b"v", proof, tree.root, spec)
+    assert not verify_proof(b"x", proof, tree.root, spec)
     # same seed rebuilds the same root
-    assert build_tree(blocks, spec, OracleState(11)).root == tree.root
+    assert build_tree(blocks, HashSpec(IDEAL, 16, seed=11)).root == tree.root
+
+
+@pytest.mark.parametrize("bits", sorted(FOUR_LEAF_IDEAL_SEED11_ROOT_HEX))
+def test_ideal_oracle_frozen_roots(bits):
+    # the seed lives in the spec; the digests are those of a standalone fold
+    spec = HashSpec(IDEAL, bits, seed=11)
+    tree = build_tree(FOUR_LEAF_BLOCKS, spec)
+    assert tree.root == Digest.from_hex(FOUR_LEAF_IDEAL_SEED11_ROOT_HEX[bits], bits)
+    assert verify_proof(FOUR_LEAF_BLOCKS[2], generate_proof(tree, 2), tree.root, spec)
 
 
 @given(st.lists(st.binary(min_size=0, max_size=24), min_size=1, max_size=20), st.data())

@@ -43,6 +43,47 @@ def test_bench_span_targets_resolve(monkeypatch):
             assert attr in vars(owner), (workload.name, owner.__name__, attr)
 
 
+def test_bench_oracle_count_sees_every_query(monkeypatch):
+    # A traced benchmark run counts ideal-oracle queries by wrapping
+    # OracleState.value64 after import, so every ideal node hash must go
+    # through that method, looked up when a kernel is bound.
+    from merkle_falsify import hashing, merkle, simulate
+
+    calls = {"value64": 0, "sha256": 0}
+    real_value64 = hashing.OracleState.value64
+    real_sha256 = hashing._sha256
+
+    def value64(self, data):
+        calls["value64"] += 1
+        return real_value64(self, data)
+
+    def sha256(data=b""):
+        calls["sha256"] += 1
+        return real_sha256(data)
+
+    monkeypatch.setattr(hashing.OracleState, "value64", value64)
+    monkeypatch.setattr(hashing, "_sha256", sha256)
+
+    node = hashing.node_fn(HashSpec(hashing.IDEAL, 10, seed=3))
+    for data in (b"a", b"b", b"a"):
+        node(data)
+    assert calls["value64"] == 3
+
+    calls["value64"] = 0
+    merkle.build_tree([bytes([i]) for i in range(8)], HashSpec(hashing.IDEAL, 10, seed=3))
+    assert calls["value64"] == 15
+
+    # the benchmark's ideal.sha256_is_seeds_plus_misses identity at unit
+    # scale: one SHA-256 node hash per oracle query (the seed derivations
+    # go through hashlib, not the kernel's constructor)
+    calls.update(value64=0, sha256=0)
+    config = ExperimentConfig(
+        bits=6, path_len=5, trials_per_experiment=50, num_experiments=1, oracle_kind="ideal"
+    )
+    simulate.run_experiment(config, 0)
+    assert calls["value64"] == calls["sha256"] > 0
+
+
 # Runs in a fresh interpreter: this test module's own imports (numpy among
 # them, through the simulation call below) would hide a module that the
 # package loads too early.

@@ -224,6 +224,23 @@ def test_gap_tends_to_x_plus_expm1_minus_x_as_m_grows():
             assert abs(cell.abs_diff / limit - 1) < mpf(10) ** -50, b
 
 
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10**9))
+@example(1, 0)
+@example(1, 10**9)
+@example(4, 5)
+@example(10, 45)
+@example(20, 1447)
+@example(200, 10**9)
+@settings(max_examples=200, deadline=None)
+def test_gap_is_below_proved_bound(b, m):
+    # |approx - exact| < 2^-(b+1) * exact for m >= 1, and approx = exact at
+    # m = 0 (README, "When the approximation is good").  Sharp where
+    # 1 << m << 2^b, e.g. (20, 1447) and (200, 10^9).  Above b = 200 the
+    # 243-bit difference's rounding noise outgrows the bound's slack.
+    cell = approximation_error(PathParams(b, m))
+    assert cell.abs_diff < mpmath.ldexp(cell.exact, -(b + 1))
+
+
 def test_diff_table_default_shape():
     rows = diff_table()
     assert len(rows) == 25

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merkle_falsify import simulate
-from merkle_falsify.hashing import IDEAL, SHA256, OracleState, node_fn
+from merkle_falsify.hashing import IDEAL, SHA256, HashSpec, node_fn
 from merkle_falsify.simulate import (
     ALPHABET,
     TRUNCATED,
@@ -121,10 +121,10 @@ def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int
     # independent re-implementation of the trial loop on top of the hashing
     # kernel: both chains folded to the root, repeating the documented seeds
     # and draw order
-    oracle = None
+    spec = cfg.hash_spec()
     if cfg.oracle_kind == IDEAL:
-        oracle = OracleState(_seed("oracle", cfg, experiment_index))
-    node = node_fn(cfg.hash_spec(), oracle)
+        spec = HashSpec(IDEAL, cfg.bits, seed=_seed("oracle", cfg, experiment_index))
+    node = node_fn(spec)
     blob, leaves = _one_shot_draws(cfg, experiment_index)
     m, width = cfg.path_len, cfg.sibling_nbytes
     matches = 0
@@ -145,8 +145,8 @@ def _check_kernel_calls(cfg: ExperimentConfig, experiment_index: int) -> None:
     # at that trial and level.
     calls = []
 
-    def recording_node_fn(spec, oracle=None):
-        node = node_fn(spec, oracle)
+    def recording_node_fn(spec):
+        node = node_fn(spec)
 
         def recorded(x):
             y = node(x)
@@ -375,6 +375,16 @@ def test_zscore_zero_when_exact_saturates():
     assert cell.std_error == 0.0
     assert cell.z_score == 0.0
     assert cell.matches == 2
+
+
+@pytest.mark.parametrize("matches", [0, 9999])
+def test_zscore_minus_inf_when_saturated_cell_falls_short(matches):
+    # P rounds to 1 at (2, 1000), so std_error is 0; a cell short of its
+    # trials must fail |z| <= Z_LIMIT instead of reading z = 0
+    exact, std_error, z = simulate.cell_statistics(2, 1000, 10000, matches)
+    assert (exact, std_error) == (1.0, 0.0)
+    assert z == float("-inf")
+    assert not abs(z) <= simulate.Z_LIMIT
 
 
 def test_run_grid_worker_invariance():
