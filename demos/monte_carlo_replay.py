@@ -9,7 +9,7 @@ import pathlib
 import time
 
 from merkle_falsify import ReportTable, build_grid, run_grid
-from merkle_falsify.figure import read_simulation_csv, render_figure
+from merkle_falsify.figure import render_figure
 
 grid = build_grid(
     bits_list=[2, 4, 6],
@@ -27,13 +27,13 @@ table = ReportTable.from_simulation(cells)
 print(table.to_markdown())
 
 # z-scores compare the empirical rate against the closed form under a
-# known-p binomial model; |z| <= 5 is the pass band used by the CLI.
+# known-p binomial model; |z| <= 5 is the pass band of CellResult.passed.
 worst = max(cells, key=lambda c: abs(c.z_score))
 print(
-    f"worst cell: b={worst.config.bits} m={worst.config.path_len}"
+    f"worst cell: b={worst.bits} m={worst.path_len}"
     f"  z = {worst.z_score:+.2f}"
 )
 
 out = pathlib.Path(__file__).with_name("monte_carlo_replay.svg")
-out.write_text(render_figure(read_simulation_csv(table.to_csv())))
+out.write_text(render_figure(cells))
 print("figure written to", out.name)

@@ -36,9 +36,9 @@ def compare(bits: int, **common) -> None:
         )
         for mode in ("wide", "truncated")
     ]
-    for cell in run_grid(configs):
+    for config, cell in zip(configs, run_grid(configs)):
         print(
-            f"b={bits}  m=10  {cell.config.sibling_mode:9s}: empirical {cell.empirical_p:.4f}"
+            f"b={bits}  m=10  {config.sibling_mode:9s}: empirical {cell.empirical_p:.4f}"
             f"  closed form {cell.exact_p:.4f}  z = {cell.z_score:+8.1f}"
         )
 

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from .figure import read_simulation_csv, render_figure
+from .figure import render_figure
 from .hashing import SHA256, Digest, HashSpec
 from .merkle import build_tree, generate_proof, proof_from_json, proof_to_json, verify_proof
 from .probability import (
@@ -35,7 +35,7 @@ from .probability import (
     diff_table,
     exact_falsification_prob,
 )
-from .report import ReportTable, format_sig
+from .report import ReportTable, format_sig, read_simulation_csv
 from .simulate import TRUNCATED, WIDE, Z_LIMIT, build_grid, run_grid
 
 SEED_ENV_VAR = "MERKLE_FALSIFY_SEED"
@@ -128,13 +128,12 @@ def cmd_simulate(args) -> int:
     status = sys.stdout if args.output else sys.stderr
     failed = 0
     for cell in cells:
-        ok = abs(cell.z_score) <= Z_LIMIT
-        failed += not ok
+        failed += not cell.passed
         status.write(
-            f"bits={cell.config.bits} path_len={cell.config.path_len} "
+            f"bits={cell.bits} path_len={cell.path_len} "
             f"matches={cell.matches}/{cell.total_trials} "
             f"empirical={cell.empirical_p:.6g} exact={cell.exact_p:.6g} "
-            f"z={cell.z_score:+.3f} {'PASS' if ok else 'FAIL'}\n"
+            f"z={cell.z_score:+.3f} {'PASS' if cell.passed else 'FAIL'}\n"
         )
     status.write(
         f"{len(cells)} cell(s), {failed} beyond {Z_LIMIT:g} sigma, "
@@ -171,8 +170,8 @@ def cmd_merkle(args) -> int:
 
 def cmd_figure(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        rows = read_simulation_csv(fh.read())
-    _write_output(args.output, render_figure(rows))
+        cells = read_simulation_csv(fh.read())
+    _write_output(args.output, render_figure(cells))
     return 0
 
 

@@ -9,23 +9,18 @@ single SVG string.
 The curve is sampled with the closed form in double precision
 (``exact_falsification_prob_float``): coordinates are written to 0.1 px,
 far coarser than a float's last digit, so the 64-digit evaluation would
-draw the same points at many times the cost.  Markers and bands use the
-row's own ``exact_p`` and ``std_error``.
+draw the same points at many times the cost.  Markers and bands use each
+cell's own ``empirical_p``, ``exact_p`` and ``std_error``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from itertools import zip_longest
 
-from .hashing import _MAX_BITS, _MAX_SEED, SHA256, _require_int
 from .probability import PathParams, exact_falsification_prob_float
 # Unused here, but the benchmark's traced pass wraps figure.exact_falsification_prob.
 from .probability import exact_falsification_prob  # noqa: F401
-from .report import SIMULATION_HEADER, simulation_row
-from .simulate import Z_LIMIT, cell_statistics
+from .simulate import Z_LIMIT, CellResult
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5cb8", "#c07d20", "#4ca8a8")
 
@@ -35,113 +30,6 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 110
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 50
-
-
-def _csv_rows(text: str):
-    """The rows of ``text``, header first, as ``csv.reader`` splits them.
-
-    A ``csv.Error`` (a field over the module's size limit, say) is raised
-    again as ValueError naming the row, counted as ``read_simulation_csv``
-    counts them: the header is row 0.
-    """
-    reader = csv.reader(io.StringIO(text))
-    n = 0
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ValueError(f"row {n} is not valid CSV: {exc}") from exc
-        yield row
-        n += 1
-
-
-def read_simulation_csv(text: str) -> list[dict]:
-    """Parse a simulation CSV, accepting only rows that ``simulate`` writes.
-
-    The integer columns are parsed and range-checked: bits in 1..256 (SHA-256
-    is the widest hash a simulation runs), path_len >= 0, total_trials >= 1,
-    matches in 0..total_trials and seed in 0..2^64 - 1.  Every field must then
-    equal, as text, what ``report.simulation_row`` writes for those integers
-    and their ``simulate.cell_statistics``.  ``simulate`` writes each
-    (bits, path_len) cell once, with one seed and one total for the whole
-    grid, so a repeated cell, or a seed or total_trials other than the first
-    row's, is rejected too.  It writes the whole product of its bits and
-    path_len values, sorted by bits and then path_len, so the rows must be
-    exactly the sorted product of their distinct bits and path_len values; a
-    missing or misplaced cell is rejected.  Anything else, a row the csv
-    module cannot split included, raises ValueError naming the row or the
-    cell.
-    """
-    reader = _csv_rows(text)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty CSV") from None
-    if header != SIMULATION_HEADER:
-        raise ValueError(
-            f"unexpected CSV header {header!r}; want {SIMULATION_HEADER!r}"
-        )
-    rows = []
-    cells = []  # (row number, bits, path_len), in file order
-    for k, raw in enumerate(reader):
-        if not raw:
-            continue
-        n = k + 1
-        if len(raw) != len(header):
-            raise ValueError(f"row {n} has {len(raw)} fields, want {len(header)}")
-        try:
-            bits, path_len, total_trials, matches, seed = (
-                int(raw[i]) for i in (0, 1, 2, 3, 8)
-            )
-        except ValueError as exc:
-            raise ValueError(f"row {n} is not numeric: {exc}") from exc
-        _require_int(f"row {n} total_trials", total_trials, 1)
-        _require_int(f"row {n} matches", matches, 0, total_trials)
-        _require_int(f"row {n} bits", bits, 1, _MAX_BITS[SHA256])
-        _require_int(f"row {n} path_len", path_len, 0)
-        _require_int(f"row {n} seed", seed, 0, _MAX_SEED)
-        if rows and (seed, total_trials) != (rows[0]["seed"], rows[0]["total_trials"]):
-            raise ValueError(
-                f"row {n} has seed {seed}, total_trials {total_trials}; the first row has "
-                f"seed {rows[0]['seed']}, total_trials {rows[0]['total_trials']}"
-            )
-        stats = cell_statistics(bits, path_len, total_trials, matches)
-        want = simulation_row(bits, path_len, total_trials, matches, *stats, seed)
-        for name, got, written in zip(header, raw, want):
-            if got != written:
-                raise ValueError(
-                    f"row {n} has {name} {got!r}, but simulate writes {written!r} for this row"
-                )
-        values = (bits, path_len, total_trials, matches, float(raw[4]), *stats, seed)
-        rows.append(dict(zip(header, values)))
-        cells.append((n, bits, path_len))
-    if not rows:
-        raise ValueError("CSV has no data rows")
-    grid = [
-        (b, m)
-        for b in sorted({b for _, b, _ in cells})
-        for m in sorted({m for _, _, m in cells})
-    ]
-    for cell, want in zip_longest(cells, grid):
-        if cell is None:
-            raise ValueError(
-                f"no row for bits {want[0]}, path_len {want[1]}; simulate writes every "
-                "cell of the grid of the file's bits and path_len values"
-            )
-        n, b, m = cell
-        # Rows past the whole grid can only repeat one of its cells.
-        if want is None:
-            raise ValueError(
-                f"row {n} repeats bits {b}, path_len {m}; simulate writes each cell once"
-            )
-        if (b, m) != want:
-            raise ValueError(
-                f"row {n} has bits {b}, path_len {m} where simulate writes bits "
-                f"{want[0]}, path_len {want[1]}; rows are sorted by bits, then path_len"
-            )
-    return rows
 
 
 def _curve_samples(lo: int, hi: int) -> list[int]:
@@ -155,33 +43,31 @@ def _curve_samples(lo: int, hi: int) -> list[int]:
     return sorted(p for p in pts if lo <= p <= hi)
 
 
-def render_figure(rows: list[dict]) -> str:
-    """SVG text for the given simulation rows."""
-    if not rows:
+def render_figure(cells: list[CellResult]) -> str:
+    """SVG text for the given simulation cells."""
+    if not cells:
         raise ValueError("no rows to plot")
-    series: dict[int, list[dict]] = {}
-    for row in rows:
-        series.setdefault(row["bits"], []).append(row)
-    for cells in series.values():
-        cells.sort(key=lambda r: r["path_len"])
+    series: dict[int, list[CellResult]] = {}
+    for cell in cells:
+        series.setdefault(cell.bits, []).append(cell)
+    for group in series.values():
+        group.sort(key=lambda c: c.path_len)
 
     # Collect curve points up front so the axes cover curves and markers alike.
     curves: dict[int, list[tuple[int, float]]] = {}
-    for bits, cells in series.items():
-        lo = cells[0]["path_len"]
-        hi = cells[-1]["path_len"]
+    for bits, group in series.items():
         curves[bits] = [
             (m, exact_falsification_prob_float(PathParams(bits, m)))
-            for m in _curve_samples(lo, hi)
+            for m in _curve_samples(group[0].path_len, group[-1].path_len)
         ]
 
     ys = [p for pts in curves.values() for _, p in pts]
-    ys += [r["empirical_p"] for r in rows if r["empirical_p"] > 0]
+    ys += [c.empirical_p for c in cells if c.empirical_p > 0]
     ymin_dec = math.floor(math.log10(min(ys)))
     ymax_dec = math.ceil(math.log10(max(ys))) if max(ys) < 1 else 0
     if ymax_dec <= ymin_dec:
         ymin_dec = ymax_dec - 1
-    xs = [r["path_len"] for r in rows]
+    xs = [c.path_len for c in cells]
     xmin_log = math.log10(min(xs) + 1)
     xmax_log = math.log10(max(xs) + 1)
     if xmax_log - xmin_log < 1e-9:
@@ -223,7 +109,7 @@ def render_figure(rows: list[dict]) -> str:
         out.append(
             f'<text x="{x0 - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>'
         )
-    for m in sorted({r["path_len"] for r in rows}):
+    for m in sorted(set(xs)):
         x = sx(m)
         out.append(
             f'<line x1="{x:.1f}" y1="{y0}" x2="{x:.1f}" y2="{y0 + 4}" stroke="black"/>'
@@ -251,16 +137,16 @@ def render_figure(rows: list[dict]) -> str:
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         for cell in series[bits]:
-            x = sx(cell["path_len"])
-            hi = cell["exact_p"] + Z_LIMIT * cell["std_error"]
-            lo = max(cell["exact_p"] - Z_LIMIT * cell["std_error"], y_floor)
+            x = sx(cell.path_len)
+            hi = cell.exact_p + Z_LIMIT * cell.std_error
+            lo = max(cell.exact_p - Z_LIMIT * cell.std_error, y_floor)
             out.append(
                 f'<line class="band" x1="{x:.1f}" y1="{sy(lo):.1f}" '
                 f'x2="{x:.1f}" y2="{sy(hi):.1f}" stroke="{color}" '
                 'stroke-width="1" opacity="0.45"/>'
             )
             out.append(
-                f'<circle class="marker" cx="{x:.1f}" cy="{sy(cell["empirical_p"]):.1f}" '
+                f'<circle class="marker" cx="{x:.1f}" cy="{sy(cell.empirical_p):.1f}" '
                 f'r="3.2" fill="{color}"/>'
             )
         ly = MARGIN_TOP + 14 + idx * 16

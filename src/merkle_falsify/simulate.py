@@ -48,10 +48,10 @@ experiments, so it loads neither numpy nor mpmath at import.
 ``concurrent.futures.ProcessPoolExecutor`` only when it starts a pool.
 Before it starts one, ``run_grid`` imports numpy, so that workers started by
 fork inherit the loaded module instead of each importing it again.
-``cell_statistics`` imports mpmath, as do the closed-form functions of
-``probability``, so of the commands only ``prob``, ``table``, ``simulate``
-and ``figure`` load mpmath, and only ``simulate`` loads numpy; ``merkle``
-builds, proofs and verification load neither.
+``CellResult`` imports mpmath when it scores a cell, as do the closed-form
+functions of ``probability``, so of the commands only ``prob``, ``table``,
+``simulate`` and ``figure`` load mpmath, and only ``simulate`` loads numpy;
+``merkle`` builds, proofs and verification load neither.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ from __future__ import annotations
 import hashlib
 import os
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .hashing import _MAX_SEED, IDEAL, SHA256, HashSpec, _require_int, node_fn
+from .hashing import _MAX_BITS, _MAX_SEED, IDEAL, SHA256, HashSpec, _require_int, node_fn
 from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
 
 if TYPE_CHECKING:
@@ -124,15 +124,63 @@ class ExperimentConfig:
         return self.hash_spec().nbytes
 
 
+# A cell passes (CellResult.passed) when |z_score| is at most this.
+Z_LIMIT = 5.0
+
+
 @dataclass(frozen=True)
 class CellResult:
-    config: ExperimentConfig
-    matches: int
+    """One simulated cell: the integers of its CSV row, scored against the
+    closed form.
+
+    The five fields are range-checked, in the order listed here: total_trials
+    >= 1, matches in 0..total_trials, bits in 1..256 (SHA-256 is the widest
+    hash a simulation runs), path_len >= 0 and seed in 0..2^64 - 1.  Then
+    exact_p is the closed form P at (bits, path_len), std_error is
+    sqrt(P(1 - P) / total_trials) and z_score is
+    (matches / total_trials - P) / std_error.
+
+    std_error is 0 only where P rounds to 1 at the working precision.  There
+    z is 0 if every trial matched and -inf otherwise, so a saturated cell with
+    a shortfall fails instead of passing.  ``passed`` is |z_score| <= Z_LIMIT.
+    """
+
+    bits: int
+    path_len: int
     total_trials: int
-    empirical_p: float
-    exact_p: float
-    std_error: float
-    z_score: float
+    matches: int
+    seed: int
+    exact_p: float = field(init=False)
+    std_error: float = field(init=False)
+    z_score: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        _require_int("total_trials", self.total_trials, 1)
+        _require_int("matches", self.matches, 0, self.total_trials)
+        _require_int("bits", self.bits, 1, _MAX_BITS[SHA256])
+        _require_int("path_len", self.path_len, 0)
+        _require_int("seed", self.seed, 0, _MAX_SEED)
+        import mpmath
+
+        total, matches = self.total_trials, self.matches
+        exact = exact_falsification_prob(PathParams(self.bits, self.path_len))
+        with mpmath.workdps(PRECISION_DPS):
+            std_error = mpmath.sqrt(exact * (1 - exact) / total)
+            if std_error != 0:
+                z = (mpmath.mpf(matches) / total - exact) / std_error
+            else:
+                z = mpmath.mpf(0) if matches == total else mpmath.ninf
+        object.__setattr__(self, "exact_p", float(exact))
+        object.__setattr__(self, "std_error", float(std_error))
+        object.__setattr__(self, "z_score", float(z))
+
+    @property
+    def empirical_p(self) -> float:
+        return self.matches / self.total_trials
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.z_score) <= Z_LIMIT
 
 
 def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: int) -> int:
@@ -247,37 +295,6 @@ def _read_window(paths: np.random.BitGenerator, lo: int, width: int, mask: int) 
     return raw.tobytes()
 
 
-# A cell passes when |z_score| is at most this.
-Z_LIMIT = 5.0
-
-
-def cell_statistics(
-    bits: int, path_len: int, total_trials: int, matches: int
-) -> tuple[float, float, float]:
-    """(exact_p, std_error, z_score): the closed form P at (bits, path_len),
-    sqrt(P(1 - P) / total_trials), and (matches / total_trials - P) / std_error.
-
-    std_error is 0 only where P rounds to 1 at the working precision.  There
-    z is 0 if every trial matched and -inf otherwise, so a saturated cell with
-    a shortfall fails the |z| <= Z_LIMIT test instead of passing."""
-    import mpmath
-
-    exact = exact_falsification_prob(PathParams(bits, path_len))
-    with mpmath.workdps(PRECISION_DPS):
-        std_error = mpmath.sqrt(exact * (1 - exact) / total_trials)
-        if std_error != 0:
-            z = (mpmath.mpf(matches) / total_trials - exact) / std_error
-        else:
-            z = mpmath.mpf(0) if matches == total_trials else mpmath.ninf
-    return float(exact), float(std_error), float(z)
-
-
-def _finalize_cell(config: ExperimentConfig, matches: int) -> CellResult:
-    total = config.total_trials
-    stats = cell_statistics(config.bits, config.path_len, total, matches)
-    return CellResult(config, matches, total, matches / total, *stats)
-
-
 def _run_range(task: tuple[ExperimentConfig, int, int]) -> int:
     # Pool workers receive this function by name and look run_experiment up
     # when called, so a wrapper installed on it (a tracer, say) runs there too.
@@ -335,7 +352,13 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
 def _sum_cells(configs: list[ExperimentConfig], step: int, counts) -> list[CellResult]:
     """Each config's CellResult from its next ceil(num_experiments / step) range counts."""
     return [
-        _finalize_cell(config, sum(islice(counts, -(-config.num_experiments // step))))
+        CellResult(
+            config.bits,
+            config.path_len,
+            config.total_trials,
+            sum(islice(counts, -(-config.num_experiments // step))),
+            config.master_seed,
+        )
         for config in configs
     ]
 

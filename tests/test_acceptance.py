@@ -30,6 +30,11 @@ import test_merkle as merkle_suite
 from frozen_values import REFERENCE_DIFFS
 
 
+def _by_cell(cells) -> dict:
+    """Cells keyed by (bits, path_len)."""
+    return {(c.bits, c.path_len): c for c in cells}
+
+
 def _gate(num: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {num} {'PASS' if ok else 'FAIL'} - {name}"
     if detail:
@@ -110,7 +115,7 @@ def test_criterion_4_statistical_replay_sha256():
     )
     elapsed = time.perf_counter() - start
 
-    by_cell = {(c.config.bits, c.config.path_len): c for c in cells}
+    by_cell = _by_cell(cells)
     all_z = [abs(c.z_score) for c in cells] + [abs(long_cell.z_score)]
     z_ok = max(all_z) <= 5.0
     # saturated cell: the closed form predicts < 1e-120 mismatch mass
@@ -219,7 +224,7 @@ def test_full_scale_grid_sha256():
         trials_per_experiment=1000, num_experiments=100, master_seed=0,
     )
     cells = run_grid(grid, workers=workers)
-    by_cell = {(c.config.bits, c.config.path_len): c for c in cells}
+    by_cell = _by_cell(cells)
     assert max(abs(c.z_score) for c in cells) <= 5.0
     # saturated cells tie at empirical 1.0, so the trends are non-strict here
     for m in (10, 100, 1000):

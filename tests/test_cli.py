@@ -176,7 +176,10 @@ def test_simulate_saturated_shortfall_fails(tmp_path, monkeypatch, capsys):
     # P rounds to 1 at (2, 1000); a cell one match short of its trials is a
     # FAIL with z = -inf, and figure accepts the row simulate writes for it
     def short_grid(configs, workers=1):
-        return [simulate._finalize_cell(c, c.total_trials - 1) for c in configs]
+        return [
+            simulate.CellResult(c.bits, c.path_len, c.total_trials, c.total_trials - 1, c.master_seed)
+            for c in configs
+        ]
 
     monkeypatch.setattr(cli, "run_grid", short_grid)
     sim = tmp_path / "sim.csv"

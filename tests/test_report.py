@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -9,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mpf
 
-from merkle_falsify import report, simulate
-from merkle_falsify.figure import read_simulation_csv, render_figure
+from merkle_falsify import report
+from merkle_falsify.figure import render_figure
 from merkle_falsify.probability import (
     PathParams,
     approx_falsification_prob,
@@ -23,15 +24,15 @@ from merkle_falsify.report import (
     TABLE_HEADER,
     ReportTable,
     format_sig,
+    read_simulation_csv,
     simulation_row,
 )
-from merkle_falsify.simulate import ExperimentConfig, cell_statistics, run_grid
+from merkle_falsify.simulate import CellResult, ExperimentConfig, build_grid, run_grid
 
 
 def _writer_row(bits, path_len, total_trials, matches, seed):
     """One CSV line as simulate writes it for these integers."""
-    stats = cell_statistics(bits, path_len, total_trials, matches)
-    return ",".join(simulation_row(bits, path_len, total_trials, matches, *stats, seed))
+    return ",".join(simulation_row(CellResult(bits, path_len, total_trials, matches, seed)))
 
 
 def test_format_sig_plain_values():
@@ -159,21 +160,20 @@ def _small_grid():
     return run_grid(configs)
 
 
-def test_simulation_table_and_csv_roundtrip():
-    cells = _small_grid()
+@pytest.mark.parametrize(
+    "common, workers",
+    [({}, 1), ({"oracle_kind": "ideal"}, 2), ({"sibling_mode": "truncated"}, 1)],
+    ids=["sha256-wide", "ideal-2-workers", "truncated"],
+)
+def test_simulation_table_and_csv_roundtrip(common, workers):
+    # the grid runs in reverse order, so the CSV's sort shows in the result
+    configs = build_grid(
+        [3, 5], [0, 6], trials_per_experiment=60, num_experiments=2, master_seed=4, **common
+    )
+    cells = run_grid(configs[::-1], workers=workers)
     table = ReportTable.from_simulation(cells)
     assert table.header == SIMULATION_HEADER
-    text = table.to_csv()
-    rows = read_simulation_csv(text)
-    assert len(rows) == 4
-    for parsed, cell in zip(rows, cells):
-        assert parsed["bits"] == cell.config.bits
-        assert parsed["path_len"] == cell.config.path_len
-        assert parsed["matches"] == cell.matches
-        assert parsed["total_trials"] == cell.total_trials
-        assert parsed["empirical_p"] == pytest.approx(cell.empirical_p, rel=1e-15)
-        assert parsed["exact_p"] == pytest.approx(cell.exact_p, rel=1e-15)
-        assert parsed["seed"] == 4
+    assert read_simulation_csv(table.to_csv()) == sorted(cells, key=lambda c: (c.bits, c.path_len))
 
 
 def test_read_simulation_csv_rejects_malformed():
@@ -215,7 +215,7 @@ def test_read_simulation_csv_rejects_malformed():
             broken[k] = v
         with pytest.raises(ValueError, match="row 1 "):
             read_simulation_csv(header + "\n" + ",".join(broken) + "\n")
-    assert read_simulation_csv(header + "\n" + body + "\n")[0]["total_trials"] == 20
+    assert read_simulation_csv(header + "\n" + body + "\n")[0].total_trials == 20
     assert body.split(",")[5:7] == ["0.25", "0.096824583655185426"]
     # rows that simulate writes one at a time but never together: a repeated
     # cell, and a seed or total_trials other than the first row's
@@ -232,6 +232,28 @@ def test_read_simulation_csv_rejects_malformed():
     assert len(read_simulation_csv(f"{header}\n{body}\n{_writer_row(2, 1, 20, 5, seed)}\n")) == 2
 
 
+def test_read_simulation_csv_messages():
+    # the reader's messages name the row, the header being row 0, and a
+    # cell's range check under the row's number
+    header = ",".join(SIMULATION_HEADER)
+    body = _writer_row(2, 0, 20, 8, 0)
+    big = "x" * (csv.field_size_limit() + 1)
+    cases = [
+        ("", "empty CSV"),
+        (header + "\n\n", "CSV has no data rows"),
+        (f"{big}\n{body}\n", "row 0 is not valid CSV: field larger than field limit (131072)"),
+        (f"{header}\n{body}\n{big}\n", "row 2 is not valid CSV: field larger than field limit (131072)"),
+        (f"{header}\n\n1,2\n", "row 2 has 2 fields, want 9"),
+        (f"{header}\n{body.replace('20', '0', 1)}\n", "row 1 total_trials must be an integer >= 1, got 0"),
+        (f"{header}\n{body.replace('8', '21', 1)}\n", "row 1 matches must be an integer in 0..20, got 21"),
+        (f"{header}\n257{body[1:]}\n", "row 1 bits must be an integer in 1..256, got 257"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as info:
+            read_simulation_csv(text)
+        assert str(info.value) == message
+
+
 @given(
     bits=st.integers(min_value=1, max_value=256),
     path_len=st.integers(min_value=0, max_value=10**9),
@@ -244,16 +266,9 @@ def test_read_simulation_csv_rejects_malformed():
 def test_read_simulation_csv_accepts_exactly_the_writers_rows(
     bits, path_len, total_trials, matches_frac, seed, changed
 ):
-    matches = int(matches_frac * total_trials)
-    config = ExperimentConfig(
-        bits=bits, path_len=path_len, trials_per_experiment=total_trials,
-        num_experiments=1, master_seed=seed,
-    )
-    text = ReportTable.from_simulation([simulate._finalize_cell(config, matches)]).to_csv()
-    [row] = read_simulation_csv(text)
-    assert (row["bits"], row["path_len"], row["total_trials"], row["matches"], row["seed"]) == (
-        bits, path_len, total_trials, matches, seed
-    )
+    cell = CellResult(bits, path_len, total_trials, int(matches_frac * total_trials), seed)
+    text = ReportTable.from_simulation([cell]).to_csv()
+    assert read_simulation_csv(text) == [cell]
     # the nearest float above the written value is a different row
     header, line = text.splitlines()
     fields = line.split(",")
@@ -267,8 +282,7 @@ def test_render_single_cell_structure():
     [cell] = run_grid(
         [ExperimentConfig(bits=1, path_len=0, trials_per_experiment=100, num_experiments=1, oracle_kind="ideal")]
     )
-    rows = read_simulation_csv(ReportTable.from_simulation([cell]).to_csv())
-    svg = render_figure(rows)
+    svg = render_figure(read_simulation_csv(ReportTable.from_simulation([cell]).to_csv()))
     assert svg.count('class="marker"') == 1
     assert svg.count('class="curve"') == 1
     assert svg.count('class="band"') == 1
@@ -277,9 +291,7 @@ def test_render_single_cell_structure():
 
 
 def test_render_grid_structure():
-    cells = _small_grid()
-    rows = read_simulation_csv(ReportTable.from_simulation(cells).to_csv())
-    svg = render_figure(rows)
+    svg = render_figure(read_simulation_csv(ReportTable.from_simulation(_small_grid()).to_csv()))
     assert svg.count('class="curve"') == 2  # one per distinct bit width
     assert svg.count('class="marker"') == 4
     assert svg.count('class="legend"') == 2
@@ -292,8 +304,7 @@ def test_render_handles_zero_empirical():
         [ExperimentConfig(bits=60, path_len=0, trials_per_experiment=10, num_experiments=1)]
     )
     assert cell.matches == 0
-    rows = read_simulation_csv(ReportTable.from_simulation([cell]).to_csv())
-    svg = render_figure(rows)
+    svg = render_figure(read_simulation_csv(ReportTable.from_simulation([cell]).to_csv()))
     assert svg.count('class="marker"') == 1
     ET.fromstring(svg)
 

@@ -15,6 +15,7 @@ from merkle_falsify.simulate import (
     ALPHABET,
     TRUNCATED,
     WIDE,
+    CellResult,
     ExperimentConfig,
     _derive_seed,
     build_grid,
@@ -351,13 +352,10 @@ def test_run_grid_aggregates_experiments():
     # one cell per config, in config order, each the sum of its experiments
     configs = build_grid([2, 8], [0, 2], trials_per_experiment=200, num_experiments=3)
     cells = run_grid(configs)
-    assert [(c.config.bits, c.config.path_len) for c in cells] == [
-        (2, 0), (2, 2), (8, 0), (8, 2),
-    ]
+    assert [(c.bits, c.path_len) for c in cells] == [(2, 0), (2, 2), (8, 0), (8, 2)]
     for cell, cfg in zip(cells, configs):
-        assert cell.config == cfg
-        assert cell.total_trials == 600
-        assert cell.matches == sum(run_experiment(cfg, k) for k in range(3))
+        matches = sum(run_experiment(cfg, k) for k in range(3))
+        assert cell == CellResult(cfg.bits, cfg.path_len, 600, matches, cfg.master_seed)
         assert cell.empirical_p == cell.matches / 600
         expect_se = (cell.exact_p * (1 - cell.exact_p) / 600) ** 0.5
         assert cell.std_error == pytest.approx(expect_se, rel=1e-12)
@@ -381,10 +379,10 @@ def test_zscore_zero_when_exact_saturates():
 def test_zscore_minus_inf_when_saturated_cell_falls_short(matches):
     # P rounds to 1 at (2, 1000), so std_error is 0; a cell short of its
     # trials must fail |z| <= Z_LIMIT instead of reading z = 0
-    exact, std_error, z = simulate.cell_statistics(2, 1000, 10000, matches)
-    assert (exact, std_error) == (1.0, 0.0)
-    assert z == float("-inf")
-    assert not abs(z) <= simulate.Z_LIMIT
+    cell = CellResult(2, 1000, 10000, matches, 0)
+    assert (cell.exact_p, cell.std_error) == (1.0, 0.0)
+    assert cell.z_score == float("-inf")
+    assert not cell.passed
 
 
 def test_run_grid_worker_invariance():
