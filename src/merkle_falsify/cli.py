@@ -24,7 +24,7 @@ import sys
 import time
 
 from .figure import render_figure
-from .hashing import SHA256, Digest, HashSpec
+from .hashing import IDEAL, SHA256, Digest, HashSpec
 from .merkle import build_tree, generate_proof, proof_from_json, proof_to_json, verify_proof
 from .probability import (
     DEFAULT_BITS,
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000, help="trials per experiment")
     p.add_argument("--experiments", type=int, default=100, help="experiments per cell")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--oracle", choices=("sha256", "ideal"), default="sha256")
+    p.add_argument("--oracle", choices=(SHA256, IDEAL), default=SHA256)
     p.add_argument("--siblings", choices=(WIDE, TRUNCATED), default=WIDE,
                    help="path element width: full hash width, or truncated to --bits")
     p.add_argument("--workers", type=int, default=1,
@@ -246,11 +246,8 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # unreadable or missing *input* is a usage problem
+    except (ValueError, IndexError, OSError) as exc:
+        # bad values, and unreadable or missing *input*, are usage problems
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

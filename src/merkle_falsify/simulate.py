@@ -93,6 +93,20 @@ _WINDOW_BYTES = 8 * _WINDOW_WORDS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One cell's settings, each checked at construction.
+
+    ``bits`` is the hash width (1..256 for sha256, 1..64 for the ideal
+    oracle) and ``path_len`` the number of fold levels m >= 0.
+    ``trials_per_experiment`` and ``num_experiments`` are counts >= 1, and
+    ``total_trials`` is their product.  ``oracle_kind`` is ``sha256`` or
+    ``ideal``, ``sibling_mode`` is ``wide`` (32-byte path elements) or
+    ``truncated`` (b-bit ones), and ``master_seed`` is in 0..2^64 - 1.
+
+    The config holds settings only.  ``run_experiment`` derives the rest from
+    ``(config, experiment_index)``: the draw seed, the oracle seed, the one
+    ``HashSpec`` it hashes with, the path-element width and the pad mask.
+    """
+
     bits: int
     path_len: int
     trials_per_experiment: int = 1000
@@ -102,7 +116,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.hash_spec()  # validates oracle_kind and bits range
+        HashSpec(self.oracle_kind, self.bits)  # validates oracle_kind and bits range
         PathParams(self.bits, self.path_len)  # validates path_len
         _require_int("trials_per_experiment", self.trials_per_experiment, 1)
         _require_int("num_experiments", self.num_experiments, 1)
@@ -110,18 +124,9 @@ class ExperimentConfig:
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
         _require_int("master_seed", self.master_seed, 0, _MAX_SEED)
 
-    def hash_spec(self) -> HashSpec:
-        return HashSpec(algorithm=self.oracle_kind, bits=self.bits)
-
     @property
     def total_trials(self) -> int:
         return self.trials_per_experiment * self.num_experiments
-
-    @property
-    def sibling_nbytes(self) -> int:
-        if self.sibling_mode == WIDE:
-            return WIDE_SIBLING_BYTES
-        return self.hash_spec().nbytes
 
 
 # A cell passes (CellResult.passed) when |z_score| is at most this.
@@ -211,15 +216,18 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     key = (config.master_seed, config.bits, config.path_len, experiment_index)
     seed = _derive_seed("seed", *key)
     rng = np.random.default_rng(seed)
-    spec = config.hash_spec()
-    if spec.algorithm == IDEAL:
-        spec = HashSpec(IDEAL, spec.bits, seed=_derive_seed("oracle", *key))
+    oracle_seed = _derive_seed("oracle", *key) if config.oracle_kind == IDEAL else 0
+    spec = HashSpec(config.oracle_kind, config.bits, seed=oracle_seed)
     node = node_fn(spec)
+    # Path elements: 32 bytes wide, or b bits in truncated mode, where every
+    # element's last byte loses its pad bits.
+    truncated = config.sibling_mode == TRUNCATED
+    width = spec.nbytes if truncated else WIDE_SIBLING_BYTES
+    mask = spec.last_byte_mask if truncated else 0xFF
 
     trials = config.trials_per_experiment
     m = config.path_len
     length = DATA_LENGTH
-    width = config.sibling_nbytes
 
     # Fixed draw order: path bytes, base data, substitute data, resamples.
     # The path bytes are read later, from a second PCG64 seeded like the
@@ -244,10 +252,6 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     codes = np.frombuffer(_ALPHABET_BYTES, dtype=np.uint8)
     base_data = codes[base_idx]
     sub_data = codes[sub_idx]
-
-    # b-bit path elements in truncated mode: every element's last byte loses
-    # its pad bits.
-    mask = spec.last_byte_mask if config.sibling_mode == TRUNCATED else 0xFF
 
     # Lockstep fold; the first coincidence decides the trial (see the module
     # docstring for why stopping there is exact).  ``window`` holds stream

@@ -212,6 +212,22 @@ def test_gap_matches_leading_term_at_wide_widths(b):
         assert abs(cell.abs_diff / abs(lead) - 1) < 1e-15
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1, defect B: abs_diff subtracts two values that share "
+    "their first ~77 digits at 72 digits, so it reads 0.0 at (256, 10)",
+)
+def test_gap_keeps_its_digits_at_256_bits():
+    cell = approximation_error(PathParams(256, 10))
+    with mpmath.workdps(400):
+        x = mpf(2) ** -256
+        exact = 1 - (1 - x) ** 11
+        approx = x + mpmath.exp(-x) - mpmath.exp(-11 * x)
+        reference = abs(approx - exact)
+        assert abs(reference / mpf("3.7291703656001034e-154") - 1) < 1e-15
+        assert abs(cell.abs_diff / reference - 1) < 1e-15
+
+
 def test_gap_tends_to_x_plus_expm1_minus_x_as_m_grows():
     # m -> infinity: (1 - x)^(m+1) and e^(-(m+1)x) vanish, so approx - exact
     # tends to x + e^(-x) - 1 (about x^2 / 2, criterion 2's saturation).  At

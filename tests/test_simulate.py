@@ -37,6 +37,40 @@ def _seed(tag: str, cfg: ExperimentConfig, experiment_index: int) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[-8:], "big")
 
 
+def _spec(cfg: ExperimentConfig, experiment_index: int) -> HashSpec:
+    # the documented rule: an ideal-oracle experiment hashes with the oracle
+    # seed derived for it, a sha256 one with seed 0
+    seed = _seed("oracle", cfg, experiment_index) if cfg.oracle_kind == IDEAL else 0
+    return HashSpec(cfg.oracle_kind, cfg.bits, seed=seed)
+
+
+def _width(cfg: ExperimentConfig) -> int:
+    # the documented path-element width: 32 bytes wide, ceil(b / 8) truncated
+    return 32 if cfg.sibling_mode == WIDE else -(-cfg.bits // 8)
+
+
+def _record_kernel(cfg: ExperimentConfig, experiment_index: int):
+    # run_experiment with node_fn wrapped: the specs it binds and every
+    # (input, output) of the kernel calls it makes, in order
+    specs, calls = [], []
+
+    def recording_node_fn(spec):
+        specs.append(spec)
+        node = node_fn(spec)
+
+        def recorded(x):
+            y = node(x)
+            calls.append((x, y))
+            return y
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "node_fn", recording_node_fn)
+        matches = run_experiment(cfg, experiment_index)
+    return matches, specs, calls
+
+
 def test_derive_cell_seed_frozen():
     assert _derive_seed("seed", 0, 2, 10, 0) == CELL_SEED_0_2_10_0
     cfg = ExperimentConfig(bits=2, path_len=10, master_seed=0)
@@ -58,6 +92,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(bits=65, path_len=1, oracle_kind=IDEAL)
     with pytest.raises(ValueError):
+        ExperimentConfig(bits=2, path_len=1, oracle_kind="md5")
+    with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=True)
@@ -78,9 +114,19 @@ def test_config_validation():
 
 
 def test_sibling_width():
-    assert ExperimentConfig(bits=2, path_len=1).sibling_nbytes == 32
-    assert ExperimentConfig(bits=12, path_len=1, sibling_mode=TRUNCATED).sibling_nbytes == 2
-    assert ExperimentConfig(bits=2, path_len=1, oracle_kind=IDEAL).sibling_nbytes == 32
+    # A fold input is a node (nb bytes) and a path element: 32 bytes wide,
+    # nb bytes truncated.  Every other kernel input is a leaf datum.
+    for oracle_kind in (SHA256, IDEAL):
+        for bits in (2, 12):
+            nb = (bits + 7) // 8
+            for sibling_mode, fold_len in ((WIDE, nb + 32), (TRUNCATED, 2 * nb)):
+                cfg = ExperimentConfig(
+                    bits=bits, path_len=3, trials_per_experiment=20, num_experiments=1,
+                    oracle_kind=oracle_kind, sibling_mode=sibling_mode,
+                )
+                _, _, calls = _record_kernel(cfg, 0)
+                lengths = {len(x) for x, _ in calls}
+                assert lengths == {simulate.DATA_LENGTH, fold_len}, cfg
 
 
 def test_run_experiment_deterministic():
@@ -95,14 +141,15 @@ def test_run_experiment_deterministic():
 def _one_shot_draws(cfg: ExperimentConfig, experiment_index: int):
     # the documented draws, all taken up front: path bytes (pad bits cleared
     # in truncated mode), base data, substitute data, per-row resamples
-    spec = cfg.hash_spec()
     rng = np.random.default_rng(_seed("seed", cfg, experiment_index))
-    m, width, length = cfg.path_len, cfg.sibling_nbytes, simulate.DATA_LENGTH
+    m, width, length = cfg.path_len, _width(cfg), simulate.DATA_LENGTH
     trials = cfg.trials_per_experiment
     blob = rng.bytes(trials * m * width) if m else b""
     if cfg.sibling_mode == TRUNCATED and cfg.bits % 8:
+        # keep the high b mod 8 bits of each element's last byte
+        mask = (0xFF << (8 - cfg.bits % 8)) & 0xFF
         elements = [blob[k : k + width] for k in range(0, len(blob), width)]
-        blob = b"".join(e[:-1] + bytes((e[-1] & spec.last_byte_mask,)) for e in elements)
+        blob = b"".join(e[:-1] + bytes((e[-1] & mask,)) for e in elements)
     base = rng.integers(0, 62, size=(trials, length), dtype=np.uint8)
     sub = rng.integers(0, 62, size=(trials, length), dtype=np.uint8)
     for row in np.nonzero((base == sub).all(axis=1))[0]:
@@ -122,12 +169,9 @@ def _replay_with_public_api(cfg: ExperimentConfig, experiment_index: int) -> int
     # independent re-implementation of the trial loop on top of the hashing
     # kernel: both chains folded to the root, repeating the documented seeds
     # and draw order
-    spec = cfg.hash_spec()
-    if cfg.oracle_kind == IDEAL:
-        spec = HashSpec(IDEAL, cfg.bits, seed=_seed("oracle", cfg, experiment_index))
-    node = node_fn(spec)
+    node = node_fn(_spec(cfg, experiment_index))
     blob, leaves = _one_shot_draws(cfg, experiment_index)
-    m, width = cfg.path_len, cfg.sibling_nbytes
+    m, width = cfg.path_len, _width(cfg)
     matches = 0
     for t, (d1, d2) in enumerate(leaves):
         offset = t * m * width
@@ -143,24 +187,12 @@ def _check_kernel_calls(cfg: ExperimentConfig, experiment_index: int) -> None:
     # Every kernel call run_experiment makes, in order, against the one-shot
     # draws: two leaf hashes per trial, then one fold pair per level until
     # the chains meet or reach the root, each pair sharing the path element
-    # at that trial and level.
-    calls = []
-
-    def recording_node_fn(spec):
-        node = node_fn(spec)
-
-        def recorded(x):
-            y = node(x)
-            calls.append((x, y))
-            return y
-
-        return recorded
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "node_fn", recording_node_fn)
-        matches = run_experiment(cfg, experiment_index)
+    # at that trial and level.  The kernel is bound once, to the
+    # experiment's spec.
+    matches, specs, calls = _record_kernel(cfg, experiment_index)
+    assert specs == [_spec(cfg, experiment_index)]
     blob, leaves = _one_shot_draws(cfg, experiment_index)
-    m, width = cfg.path_len, cfg.sibling_nbytes
+    m, width = cfg.path_len, _width(cfg)
     pairs = iter(zip(calls[::2], calls[1::2]))
     met = 0
     for t, leaf_pair in enumerate(leaves):
@@ -239,7 +271,7 @@ def test_path_windows_refill_mid_trial(oracle_kind, sibling_mode, bits, path_len
         bits=bits, path_len=path_len, trials_per_experiment=8, num_experiments=1,
         oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=bits * path_len,
     )
-    assert path_len * cfg.sibling_nbytes > simulate._WINDOW_BYTES
+    assert path_len * _width(cfg) > simulate._WINDOW_BYTES
     assert run_experiment(cfg, 0) == _replay_with_public_api(cfg, 0)
     _check_kernel_calls(cfg, 0)
 
