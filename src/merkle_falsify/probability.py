@@ -29,17 +29,24 @@ neither changes a value nor is changed by one.
 
 ``_expm1`` serves both forms, whose arguments ``y`` are never positive.
 Below ``2^-(prec+10)`` in magnitude it returns ``y + y^2/2``, as mpmath's
-``expm1`` does.  Otherwise it evaluates ``exp(y)`` at
-``wp = prec + 35 + max(0, -mag(y))`` bits and subtracts 1 at ``wp`` bits.
-Where ``|y| < 1``, ``exp(y) - 1`` is about ``2^mag(y)`` in magnitude, so
-the subtraction cancels about ``-mag(y)`` leading bits of ``exp(y)``; the
-``max`` term pays for them and leaves 35 bits beyond ``prec``.  Where
-``y <= -1`` the difference lies in ``(-1, 1/e - 1]`` and nothing cancels.
-Either way the difference is within ``2^(2-wp)`` of ``exp(y) - 1``, and it
-is returned only if both ends of that interval round alike to ``prec``
-bits, so the result is correctly rounded.  If they do not, the value lies
-within about ``2^-35`` of an ulp of a rounding boundary, and ``exp`` is
-evaluated again with twice the guard bits.  The arguments here,
+``expm1`` does.  Otherwise it evaluates ``e = exp(y)`` at
+``wp = prec + 35 + max(0, -mag(y))`` bits, within ``2^-wp`` of the true
+value, and rounds ``e - 1`` once.  With ``e = man * 2^exp`` in ``(0, 1)``,
+``1 - e = (2^-exp - man) * 2^exp`` is formed exactly as an integer; where
+``e < 2^-(prec+4)`` the result is -1 without it, which keeps the integer
+below about ``2 * wp`` bits.  Where ``|y| < 1``, ``exp(y) - 1`` is about
+``2^mag(y)`` in magnitude, so ``1 - e`` cancels about ``-mag(y)`` leading
+bits of ``e``; the ``max`` term pays for them and leaves 35 bits beyond
+``prec``.  Where ``y <= -1`` the difference lies in ``(-1, 1/e - 1]`` and
+nothing cancels.  The difference is returned, rounded to nearest at
+``prec`` bits, only if no rounding boundary lies within ``5 * 2^-wp`` of
+it, more than ``e``'s error, so the result is correctly rounded.  That
+test is made on the integer with shifts and masks: at these precisions
+the one boundary in reach is the midpoint between the two ``prec``-bit
+values around the difference, so the test compares the bits that
+rounding drops with half an ulp.  If a boundary is in reach, the value
+lies within about ``2^-32`` of an ulp of it, and ``exp`` is evaluated
+again with twice the guard bits.  The arguments here,
 ``(m+1) * log1p(-2^-b)`` and ``-m * 2^-b``, have short binary expansions
 that put about 0.3 % of random cells there, and no cell of bits 1..32 by
 path lengths up to 10^6.  mpmath's own ``expm1`` evaluates ``exp`` twice
@@ -154,13 +161,38 @@ def _expm1(y: tuple, prec: int) -> tuple:
         return libmp.mpf_add(y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, rnd)
     wp = prec + 35 + max(0, -mag)
     while True:
-        d = libmp.mpf_sub(libmp.mpf_exp(y, wp, rnd), libmp.fone, wp, rnd)
-        # exp(y) <= 1 and |d| < 1 each carry at most 2^-wp of error
-        err = (0, libmp.MPZ_ONE, 2 - wp, 1)  # 2^(2-wp)
-        lo = libmp.mpf_sub(d, err, prec, rnd)
-        if lo == libmp.mpf_add(d, err, prec, rnd):
-            return lo
+        d = _exp_minus_one(libmp.mpf_exp(y, wp, rnd), wp, prec)
+        if d is not None:
+            return d
         wp += wp - prec  # the guard bits left a rounding boundary in reach
+
+
+def _exp_minus_one(e: tuple, wp: int, prec: int) -> tuple | None:
+    """e - 1 rounded to nearest at prec bits, for e = exp(y) in (0, 1) as
+    ``mpf_exp`` gives it at wp bits; None if a rounding boundary lies within
+    ``5 * 2^-wp`` of e - 1, where e's own error could decide the rounding."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    _, man, exp, bc = e
+    if exp + bc < -(prec + 3):
+        return libmp.fnone  # e < 2^-(prec+4): e - 1 rounds to -1
+    if exp > -wp:
+        man <<= exp + wp
+        exp = -wp
+    n = (1 << -exp) - man  # 1 - e = n * 2^exp, exactly
+    # The radius, in units of 2^exp: 2^(2-wp) bounds e's error, and 2^-wp
+    # more covers every boundary that a radius of 2^(2-wp) around e - 1
+    # rounded to wp bits would reach.
+    shift = -wp - exp
+    radius = 5 << shift
+    drop = n.bit_length() - prec  # bits that rounding to prec bits drops
+    # With radius below 2^(drop-2), the one boundary in reach is the midpoint
+    # of the kept part's ulp: the neighbours' midpoints, and the boundary a
+    # quarter ulp below a power-of-two kept part, lie at least 2^(drop-2) away.
+    if shift + 5 > drop or abs((n & ((1 << drop) - 1)) - (1 << (drop - 1))) <= radius:
+        return None
+    return libmp.from_man_exp(-n, exp, prec, libmp.round_nearest)
 
 
 def exact_falsification_prob(params: PathParams) -> mpf:
@@ -251,7 +283,16 @@ def approx_falsification_prob(params: PathParams) -> mpf:
 
 
 def approximation_error(params: PathParams) -> FalsificationEstimate:
-    """Exact and approximate values side by side with |approx - exact|."""
+    """Exact and approximate values side by side with |approx - exact|.
+
+    ``abs_diff`` is the difference of the two returned 243-bit values,
+    rounded to 243 bits.  The two share about their first ``b * log10(2)``
+    digits, so at wide widths the difference keeps few correct digits: its
+    17 printed digits first go wrong at b = 242, 239, 236 and 229 for
+    m = 1, 10, 1000 and 10^6 (ROADMAP item 1, defect B), and at (256, 10)
+    it reads 0.  ``tests/test_probability.py`` pins that as the strict
+    xfail ``test_gap_keeps_its_digits_at_256_bits``.
+    """
     import mpmath
 
     libmp = mpmath.libmp

@@ -34,10 +34,11 @@ SIMULATION_HEADER = (
 def format_sig(x) -> str:
     """Decimal string with SIG_DIGITS significant digits, '.' separator, no grouping.
 
-    x is an mpmath ``mpf``, a ``Fraction`` or a float.  It is first rounded
-    to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is rounded, a float is
-    converted exactly, and a ``Fraction`` has its numerator and its
-    denominator each rounded before their quotient is.  mpmath's ``to_str``
+    x is an mpmath ``mpf``, a ``Fraction`` or a float; anything else
+    (``int``, ``bool``, ``Decimal``, ``str``, ``None``) raises TypeError.  It
+    is first rounded to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is
+    rounded, a float is converted exactly, and a ``Fraction`` has its
+    numerator and its denominator each rounded before their quotient is.  mpmath's ``to_str``
     then prints SIG_DIGITS digits, trailing zeros stripped.  These are the
     steps of ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
     ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples, so no
@@ -57,7 +58,14 @@ def format_sig(x) -> str:
     elif isinstance(x, float):
         v = libmp.from_float(x, _SIG_BITS, rnd)
     else:
-        v = libmp.mpf_pos(x._mpf_, _SIG_BITS, rnd)
+        try:
+            t = x._mpf_
+        except AttributeError:
+            raise TypeError(
+                "format_sig takes an mpf, a Fraction or a float, "
+                f"got {type(x).__name__}"
+            ) from None
+        v = libmp.mpf_pos(t, _SIG_BITS, rnd)
     return libmp.to_str(v, SIG_DIGITS, strip_zeros=True)
 
 

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +22,13 @@ from merkle_falsify.probability import (
 )
 
 from frozen_values import EXACT_10_10_DECIMAL, REFERENCE_DIFFS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Cells whose expm1 lies within about 2^-33 of an ulp of a 243-bit rounding
+# boundary: 35 guard bits do not decide these, the approx at the first two
+# and the exact at the rest.
+NEAR_BOUNDARY_CELLS = ((118, 81), (78, 79), (238, 73), (198, 89011869679925))
 
 
 def closed_form_rational(b: int, m: int) -> Fraction:
@@ -351,6 +359,17 @@ def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
     assert approx_falsification_prob(PathParams(b, m)) == approx
 
 
+def _with_examples(cells):
+    """Hypothesis ``@example(b=b, m=m)`` for each (b, m) in cells."""
+
+    def decorate(test):
+        for b, m in cells:
+            test = example(b=b, m=m)(test)
+        return test
+
+    return decorate
+
+
 @given(b=st.integers(min_value=1, max_value=300), m=st.integers(min_value=0, max_value=10**15))
 @example(b=1, m=0)
 @example(b=64, m=0)
@@ -359,12 +378,11 @@ def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
 @example(b=256, m=10)
 @example(b=300, m=10**9)
 @example(b=78, m=1486)  # mpmath's own expm1 at 72 digits is 1 ulp off here
-# expm1 values within 2^-35 of an ulp of a rounding boundary: 35 guard bits
-# do not decide these, the approx at the first two and the exact at the rest
-@example(b=118, m=81)
-@example(b=78, m=79)
-@example(b=238, m=73)
-@example(b=198, m=89011869679925)
+@_with_examples(NEAR_BOUNDARY_CELLS)
+# The exact form saturates at 1 from m = 243 (b = 1) and m = 587 (b = 2),
+# and its exp(y) falls below the -1 shortcut's 2^-247 from m = 246 (b = 1)
+# and m = 595 (b = 2).
+@_with_examples([(1, m) for m in range(240, 248)] + [(2, m) for m in range(585, 596)])
 @settings(max_examples=100, deadline=None)
 def test_closed_forms_are_correctly_rounded(b, m):
     # Each expm1 is rounded once, correctly, so both forms equal the same
@@ -386,6 +404,116 @@ def test_closed_forms_are_correctly_rounded(b, m):
         ):
             ulp = mpmath.ldexp(1, mpmath.mag(true) - probability._PREC_BITS)
             assert abs(got_value - true) <= 2.5 * ulp, (b, m)
+
+
+def _count_exp_calls(monkeypatch) -> list:
+    """The precision of every libmp.mpf_exp call made from now on."""
+    calls = []
+    real_exp = libmp.mpf_exp
+
+    def mpf_exp(y, wp, rnd):
+        calls.append(wp)
+        return real_exp(y, wp, rnd)
+
+    monkeypatch.setattr(libmp, "mpf_exp", mpf_exp)
+    return calls
+
+
+def test_expm1_retries_only_where_a_boundary_is_in_reach(monkeypatch):
+    # The analytic-table benchmark's grid, bits 1..32 by 16 path lengths
+    # from 0 to 10^6: one exp per nonzero expm1 argument, no retry (the
+    # approx form's argument -m * 2^-b is 0 at m = 0).
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import AnalyticTable
+
+    bits, path_lens = AnalyticTable.BITS, AnalyticTable.PATH_LENS
+    diff_table(bits, path_lens)  # caches the per-width terms first
+    calls = _count_exp_calls(monkeypatch)
+    diff_table(bits, path_lens)
+    assert len(calls) == 2 * len(bits) * len(path_lens) - len(bits) == 992
+    # Near a boundary: one exp per form, and one retry at twice the guard bits.
+    for b, m in NEAR_BOUNDARY_CELLS:
+        probability._width_terms(b)
+        calls.clear()
+        approximation_error(PathParams(b, m))
+        assert len(calls) == 3, (b, m)
+
+
+def _mpf_exp_minus_one(e: tuple, wp: int, prec: int):
+    """The boundary test in mpf operations: e - 1 rounded to wp bits, then
+    rounded to prec bits from 2^(2-wp) below and from 2^(2-wp) above; None
+    if the two differ."""
+    rnd = libmp.round_nearest
+    d = libmp.mpf_sub(e, libmp.fone, wp, rnd)
+    err = (0, 1, 2 - wp, 1)
+    lo = libmp.mpf_sub(d, err, prec, rnd)
+    return lo if lo == libmp.mpf_add(d, err, prec, rnd) else None
+
+
+def _exp_below_one(wp: int, x: int, z: int, kept: int, low: int) -> tuple:
+    """e with 1 - e = n * 2^-(wp + x), where n is kept followed by low in
+    the wp - z + x - prec bits below it, so 1 - e is in [2^-(z+1), 2^-z)."""
+    n = (kept << (wp - z + x - probability._PREC_BITS)) + low
+    return libmp.from_man_exp((1 << (wp + x)) - n, -(wp + x))
+
+
+@st.composite
+def _exp_outputs(draw):
+    """(e, wp): a made-up exp(y) in (0, 1) and the precision it came at."""
+    prec = probability._PREC_BITS
+    wp = prec + draw(st.sampled_from((35, 70, 140))) + draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("boundary", "short", "near zero")))
+    if kind == "near zero":
+        # either side of the -1 shortcut, which takes e < 2^-(prec+4)
+        bc = draw(st.integers(1, wp))
+        man = draw(st.integers(1 << (bc - 1), (1 << bc) - 1))
+        mag = draw(st.integers(-(prec + 7), -prec))
+        return libmp.from_man_exp(man, mag - bc), wp
+    z = draw(st.integers(0, wp - prec - 8))
+    if kind == "short":
+        # 1 - e has at most prec significant bits
+        n = draw(st.integers(1, (1 << prec) - 1))
+        width = n.bit_length() + z
+        return libmp.from_man_exp((1 << width) - n, -width), wp
+    # For x > 0, e - 1 has more than wp bits, so rounding it to wp bits
+    # moves it.  Below the prec bits kept, n holds 0, a half ulp or all
+    # ones, plus an offset within a few radii (a radius is 4 or 5 units of
+    # 2^x), so the edges of both boundary tests are in reach.
+    x = draw(st.integers(0, 12))
+    drop = wp - z + x - prec
+    kept = draw(
+        st.sampled_from((1 << (prec - 1), (1 << prec) - 1))
+        | st.integers(1 << (prec - 1), (1 << prec) - 1)
+    )
+    base = draw(st.sampled_from((0, 1 << (drop - 1), (1 << drop) - 1)))
+    offset = (draw(st.integers(-6, 6)) << x) + draw(st.integers(-(1 << x), 1 << x))
+    return _exp_below_one(wp, x, z, kept, min(max(base + offset, 0), (1 << drop) - 1)), wp
+
+
+_WP = probability._PREC_BITS + 35
+
+
+@given(_exp_outputs())
+# 9 units of 2^-(wp+1) above the midpoint: the mpf test reaches the boundary
+# from e - 1 rounded to wp bits; a radius of 2^(2-wp) around the exact
+# e - 1 would not.
+@example(case=(_exp_below_one(_WP, 1, 0, 3 << (probability._PREC_BITS - 2), (1 << 35) + 9), _WP))
+@settings(max_examples=400, deadline=None)
+def test_integer_boundary_test_is_as_cautious_as_mpf_one(case):
+    # Wherever rounding e - 1 to wp bits and then 2^(2-wp) either side of
+    # it to prec bits leaves the result open, the integer test retries too;
+    # where both decide, they give the same tuple, e - 1 correctly rounded.
+    # The integer test retries only with a boundary within 2^(3-wp) of e - 1.
+    e, wp = case
+    prec = probability._PREC_BITS
+    rnd = libmp.round_nearest
+    got = probability._exp_minus_one(e, wp, prec)
+    if got is not None:
+        assert got == _mpf_exp_minus_one(e, wp, prec) == libmp.mpf_sub(e, libmp.fone, prec, rnd)
+    else:
+        d = libmp.mpf_sub(e, libmp.fone)  # exact
+        err = (0, 1, 3 - wp, 1)
+        assert libmp.mpf_sub(d, err, prec, rnd) != libmp.mpf_add(d, err, prec, rnd)
 
 
 def test_bit_precision_matches_digits():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -40,6 +41,15 @@ def test_format_sig_plain_values():
     assert format_sig(Fraction(487, 1000)) == "0.487"
     assert format_sig(Fraction(1, 16)) == "0.0625"
     assert format_sig(mpf(0)) == "0.0"
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(3, "int"), (True, "bool"), ("0.5", "str"), (None, "NoneType"), (Decimal("0.5"), "Decimal")],
+)
+def test_format_sig_rejects_other_types(value, name):
+    with pytest.raises(TypeError, match=f"an mpf, a Fraction or a float, got {name}$"):
+        format_sig(value)
 
 
 def test_format_sig_17_digits():
