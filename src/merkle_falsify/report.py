@@ -1,9 +1,20 @@
 """Tabular output: significant-digit formatting, CSV and markdown emission,
-and the simulation CSV's reader."""
+and the simulation CSV's reader.
+
+``format_sig`` prints what mpmath's ``nstr(mpf(x), 17, strip_zeros=True)``
+prints under ``workdps(27)``, but takes mpmath's digit steps on Python
+integers: one round-half-even to ``_SIG_BITS`` = 93 bits, then the fixed-point
+product ``to_digits_exp`` forms at 20 digits (``_DIGIT_BITS`` = 76 bits), cut
+to 17 digits by ``to_str``'s rule.  ``libmp.to_str`` still prints zero, the
+infinities, nan and values whose binary magnitude passes ``_FIXED_MAG`` =
+3500, where ``to_digits_exp`` first divides by a power of ten.  mpmath's own
+path is the reference that ``tests/test_report.py`` compares against.
+"""
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -16,6 +27,14 @@ SIG_DIGITS = 17
 # format_sig's working precision: SIG_DIGITS + 10 digits in bits, as
 # mpmath.libmp.dps_to_prec gives it (93).
 _SIG_BITS = round((SIG_DIGITS + 10 + 1) * math.log2(10))
+# to_str asks to_digits_exp for SIG_DIGITS + 3 digits, which it forms at this
+# many bits (76); _LOG2_10 is log2(10) as to_digits_exp computes it.
+_LOG2_10 = math.log(10, 2)
+_DIGIT_BITS = int((SIG_DIGITS + 3) * _LOG2_10) + 10
+# Past this binary magnitude to_digits_exp divides by a power of ten first;
+# format_sig leaves those values to to_str.
+_FIXED_MAG = 3500
+_LOG10_2 = math.log10(2)
 
 TABLE_HEADER = ("b", "m", "exact", "approx", "abs_diff")
 SIMULATION_HEADER = (
@@ -38,25 +57,26 @@ def format_sig(x) -> str:
     (``int``, ``bool``, ``Decimal``, ``str``, ``None``) raises TypeError.  It
     is first rounded to nearest at ``_SIG_BITS`` = 93 bits: an ``mpf`` is
     rounded, a float is converted exactly, and a ``Fraction`` has its
-    numerator and its denominator each rounded before their quotient is.  mpmath's ``to_str``
-    then prints SIG_DIGITS digits, trailing zeros stripped.  These are the
-    steps of ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
-    ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples, so no
-    mpmath context is read or written.
+    numerator and its denominator each rounded before their quotient is.
+    SIG_DIGITS digits are then printed, trailing zeros stripped.  These are
+    the steps of ``nstr(mpf(x), SIG_DIGITS, strip_zeros=True)`` under
+    ``workdps(SIG_DIGITS + 10)``, taken on raw ``libmp`` tuples and integers
+    (see ``_sig_str``), so no mpmath context is read or written.
     """
-    import mpmath
-
-    libmp = mpmath.libmp
-    rnd = libmp.round_nearest
     if isinstance(x, Fraction):
-        v = libmp.mpf_div(
+        from mpmath import libmp
+
+        rnd = libmp.round_nearest
+        t = libmp.mpf_div(
             libmp.from_int(x.numerator, _SIG_BITS, rnd),
             libmp.from_int(x.denominator, _SIG_BITS, rnd),
             _SIG_BITS,
             rnd,
         )
     elif isinstance(x, float):
-        v = libmp.from_float(x, _SIG_BITS, rnd)
+        from mpmath import libmp
+
+        t = libmp.from_float(x, _SIG_BITS, libmp.round_nearest)
     else:
         try:
             t = x._mpf_
@@ -65,8 +85,67 @@ def format_sig(x) -> str:
                 "format_sig takes an mpf, a Fraction or a float, "
                 f"got {type(x).__name__}"
             ) from None
-        v = libmp.mpf_pos(t, _SIG_BITS, rnd)
-    return libmp.to_str(v, SIG_DIGITS, strip_zeros=True)
+    return _sig_str(t)
+
+
+@functools.cache
+def _pow10(n: int) -> int:
+    # n is at most about 1080 below the _FIXED_MAG cut, so the cache is bounded.
+    return 10**n
+
+
+def _sig_str(t: tuple) -> str:
+    """``libmp.to_str(libmp.mpf_pos(t, _SIG_BITS, round_nearest), SIG_DIGITS,
+    strip_zeros=True)`` for a raw mpf t, on integers where t is finite, nonzero
+    and of binary magnitude at most ``_FIXED_MAG`` once rounded."""
+    sign, man, exp, bc = t
+    shift = bc - _SIG_BITS
+    if shift > 0:
+        # mpf_pos: round half to even; a carry to 2^93 makes it 94 bits
+        low = man & ((1 << shift) - 1)
+        man >>= shift
+        half = 1 << (shift - 1)
+        if low > half or (low == half and man & 1):
+            man += 1
+        exp += shift
+        bc = _SIG_BITS + (man >> _SIG_BITS)
+    mag = exp + bc
+    # zero, ±inf and nan have man 0 (and bc <= 0, so they were not rounded)
+    if not man or abs(mag) > _FIXED_MAG:
+        from mpmath import libmp
+
+        return libmp.to_str(
+            libmp.mpf_pos(t, _SIG_BITS, libmp.round_nearest),
+            SIG_DIGITS,
+            strip_zeros=True,
+        )
+    # to_digits_exp: |t| in binary fixed point at fixprec bits, times
+    # 10^fixdps, floored; d has at least 22 digits.
+    fixprec = max(_DIGIT_BITS - mag, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    d = (man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps) >> fixprec
+    # n = floor(log10(d)), which is floor(bit_length * log10(2)) or one less;
+    # that float product floors exactly for bit lengths up to 20 000, and d
+    # has at most about 3500 bits.
+    n = int(d.bit_length() * _LOG10_2)
+    if d < _pow10(n):
+        n -= 1
+    # to_str rounds half up on the 18th digit alone: adding half a unit of
+    # it and truncating does that, carrying to 10^17 with one more digit.
+    s = str(d + 5 * _pow10(n - SIG_DIGITS))
+    e = len(s) - fixdps - 1
+    m = s[:SIG_DIGITS].rstrip("0")
+    sign = "-" if sign else ""
+    # to_str's layout: fixed point for -5 < e < 17, else d.ddd with an
+    # exponent; trailing zeros stripped, keeping "x.0"
+    if 0 <= e < SIG_DIGITS:
+        if len(m) > e + 1:
+            return sign + m[: e + 1] + "." + m[e + 1 :]
+        return sign + m + "0" * (e + 1 - len(m)) + ".0"
+    if -5 < e < 0:
+        return sign + "0." + "0" * (-e - 1) + m
+    return sign + m[0] + "." + (m[1:] or "0") + ("e+" if e > 0 else "e") + str(e)
 
 
 def simulation_row(cell: CellResult) -> tuple[str, ...]:

@@ -46,8 +46,10 @@ Imports: the package imports this module, but only ``simulate`` runs
 experiments, so it loads neither numpy nor mpmath at import.
 ``run_experiment`` imports numpy itself, and ``run_grid`` imports
 ``concurrent.futures.ProcessPoolExecutor`` only when it starts a pool.
-Before it starts one, ``run_grid`` imports numpy, so that workers started by
-fork inherit the loaded module instead of each importing it again.
+Before it starts one, ``run_grid`` imports ``numpy.random``, so that workers
+started by fork inherit the loaded modules instead of each importing them
+again; numpy 2 loads ``numpy.random`` lazily, so ``import numpy`` alone
+leaves each worker to import it on its first experiment.
 ``CellResult`` imports mpmath when it scores a cell, as do the closed-form
 functions of ``probability``, so of the commands only ``prob``, ``table``,
 ``simulate`` and ``figure`` load mpmath, and only ``simulate`` loads numpy;
@@ -344,9 +346,9 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     )
     if pool_size == 1:
         return _sum_cells(configs, step, map(_run_range, tasks))
-    # numpy first, so that forked workers inherit it and none imports it
-    # again (see the module docstring).
-    import numpy  # noqa: F401
+    # numpy.random first, so that forked workers inherit it and none imports
+    # it again (see the module docstring).
+    import numpy.random  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -10,9 +10,20 @@ from merkle_falsify.simulate import MAX_DRAW_BYTES
 from frozen_values import SHA_ABC_HEX
 
 
-def test_prob_exact(capsys):
-    assert main(["prob", "exact", "--bits", "2", "--path-len", "10"]) == 0
-    assert capsys.readouterr().out.strip() == "0.95776486396789551"
+@pytest.mark.parametrize(
+    "bits, path_len, want",
+    [
+        pytest.param("2", "10", "0.95776486396789551", id="2-10"),
+        # binary magnitude past 3500: format_sig leaves these to libmp.to_str
+        pytest.param("100000", "1", "2.0019978075973883e-30103", id="100000-1"),
+        pytest.param("1000000000", "3", "8.671191870467736e-301029996", id="1000000000-3"),
+        # on format_sig's integer path, with 10^925 as its power of ten
+        pytest.param("3000", "5", "4.8771291753346413e-903", id="3000-5"),
+    ],
+)
+def test_prob_exact(capsys, bits, path_len, want):
+    assert main(["prob", "exact", "--bits", bits, "--path-len", path_len]) == 0
+    assert capsys.readouterr().out.strip() == want
 
 
 def test_prob_exact_m0(capsys):

@@ -162,7 +162,8 @@ def pool_sees_numpy():
 
     class RecordingPool:
         def __init__(self, max_workers):
-            seen.append("numpy" in sys.modules)
+            # numpy 2 loads numpy.random lazily, on first use
+            seen.append(("numpy" in sys.modules, "numpy.random" in sys.modules))
 
         def __enter__(self):
             return self
@@ -177,7 +178,7 @@ def pool_sees_numpy():
     simulate._usable_cpus = lambda: 2
     grid = simulate.build_grid([2], [1], trials_per_experiment=3, num_experiments=2)
     simulate.run_grid(grid, workers=2)
-    assert seen == [True], seen
+    assert seen == [(True, True)], seen
 
 
 # Both remaining checks need numpy not yet loaded, so the pool check runs
@@ -195,8 +196,8 @@ assert cli.build_parser.cache_info().misses == 1, cli.build_parser.cache_info()
 def test_import_boundary(tmp_path):
     # import, prob, table, merkle and figure load neither numpy nor the
     # process pool, and import and merkle load no mpmath either; prob loads
-    # mpmath, a serial simulation loads numpy, and run_grid loads numpy
-    # before it constructs a pool; import builds no argument parser, and
+    # mpmath, a serial simulation loads numpy, and run_grid loads
+    # numpy.random before it constructs a pool; import builds no argument parser, and
     # every command then shares the one the first builds
     sim_csv = tmp_path / "sim.csv"
     with contextlib.redirect_stdout(io.StringIO()):

@@ -110,8 +110,88 @@ def test_format_sig_matches_nstr_at_27_digits(x):
     assert format_sig(x) == _nstr_at_27_digits(x)
 
 
+@st.composite
+def _raw_mpfs(draw):
+    bits = draw(st.integers(1, 300))
+    man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    mag = draw(st.integers(-3700, 500))  # exp + bc, across the 3500 cut
+    return libmp.from_man_exp(-man if draw(st.booleans()) else man, mag - bits)
+
+
+def _tie_at_18th_digit(prefix: int) -> tuple:
+    # A 94-bit value exactly halfway between two 93-bit neighbours, with the
+    # 18-digit boundary prefix·10 + 5 (times 10^43) between them: to_str
+    # prints the two neighbours differently, so the tie's parity rule shows.
+    k = (prefix * 10 + 5) * 10**43 >> 107
+    return (0, 2 * k + 1, 106, 94)
+
+
+@given(_raw_mpfs())
+@example(libmp.from_man_exp(2**243 - 1, -243))  # carries to 2^93
+@example(libmp.from_man_exp(-(2**243 - 1), 3500 - 243))  # carries past 3500
+@example(libmp.from_man_exp(2**243 - 1, -3500 - 243))
+@example(libmp.from_man_exp(3, -3502))
+@example(libmp.from_man_exp(3, 3499))
+@example((0, 2**93 + 1, -94, 94))  # ties: the even neighbour is below
+@example((1, 2**93 + 3, -94, 94))  # the even neighbour is above
+@example(_tie_at_18th_digit(10**16))  # even k: rounds down, prints 1.0e+60
+@example(_tie_at_18th_digit(10**16 + 3))  # odd k: rounds up
+# 20 digits 99999999999999999599999: the 18th digit carries to 10^17
+@example(libmp.from_rational(10**18 - 4, 10**18, 93, libmp.round_nearest))
+@example(libmp.from_rational(-(10**18 - 5), 10**18, 93, libmp.round_nearest))
+# leading digit at 10^-5, 10^-4, 10^16 and 10^17: the fixed-point window's edges
+@example(libmp.from_rational(15, 10**6, 93, libmp.round_nearest))
+@example(libmp.from_rational(15, 10**5, 93, libmp.round_nearest))
+@example(libmp.from_int(15 * 10**15))
+@example(libmp.from_int(-(10**17)))
+@example(libmp.fzero)
+@example(libmp.finf)
+@example(libmp.fninf)
+@example(libmp.fnan)
+@settings(max_examples=300, deadline=None)
+def test_sig_str_matches_to_str(t):
+    # mpmath's rounding and printing of a raw mpf, as format_sig did them
+    want = libmp.to_str(libmp.mpf_pos(t, 93, libmp.round_nearest), 17, strip_zeros=True)
+    assert report._sig_str(t) == want
+
+
+def test_format_sig_calls_to_str_only_outside_the_integer_path(monkeypatch):
+    calls = []
+    to_str = libmp.to_str
+
+    def recording_to_str(s, *args, **kwargs):
+        calls.append(s)
+        return to_str(s, *args, **kwargs)
+
+    monkeypatch.setattr(libmp, "to_str", recording_to_str)
+    for e in diff_table((1, 2, 32, 256, 3000), (0, 10)):
+        for value in (e.exact, e.approx, e.abs_diff):
+            if value:
+                format_sig(value)
+    format_sig(Fraction(1, 3))
+    format_sig(0.1)
+    assert calls == []
+    # |exp + bc| is 3501 for 2^3500 and 2^-3502, past the cut, and for
+    # 2^3500 - 2^3257 once it is rounded to 2^3500; it is 3500 for 2^3499
+    # and 2^-3501, which stay on the integer path
+    specials = [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan]
+    for t in [
+        libmp.from_man_exp(1, 3500),
+        libmp.from_man_exp(1, -3502),
+        libmp.from_man_exp(2**243 - 1, 3257),
+        libmp.from_man_exp(1, 3499),
+        libmp.from_man_exp(1, -3501),
+        *specials,
+    ]:
+        format_sig(mpmath.mp.make_mpf(t))
+    two_3500 = libmp.from_man_exp(1, 3500)
+    assert calls == [two_3500, libmp.from_man_exp(1, -3502), two_3500, *specials]
+
+
 def test_format_sig_bit_precision_matches_digits():
     assert report._SIG_BITS == libmp.dps_to_prec(report.SIG_DIGITS + 10) == 93
+    # to_digits_exp's bits for the SIG_DIGITS + 3 digits to_str asks for
+    assert report._DIGIT_BITS == int(20 * math.log(10, 2)) + 10 == 76
 
 
 @pytest.mark.parametrize("caller_dps", [15, 200])
