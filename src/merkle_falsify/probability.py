@@ -27,39 +27,74 @@ Both closed forms and their difference are computed on mpmath's raw
 nearest.  No mpmath context is read or written, so a caller's ``mp.prec``
 neither changes a value nor is changed by one.
 
-``_expm1`` serves both forms, whose arguments ``y`` are never positive.
-Below ``2^-(prec+10)`` in magnitude it returns ``y + y^2/2``, as mpmath's
-``expm1`` does.  Otherwise it evaluates ``e = exp(y)`` at
-``wp = prec + 35 + max(0, -mag(y))`` bits, within ``2^-wp`` of the true
-value, and rounds ``e - 1`` once.  With ``e = man * 2^exp`` in ``(0, 1)``,
-``1 - e = (2^-exp - man) * 2^exp`` is formed exactly as an integer; where
-``e < 2^-(prec+4)`` the result is -1 without it, which keeps the integer
-below about ``2 * wp`` bits.  Where ``|y| < 1``, ``exp(y) - 1`` is about
-``2^mag(y)`` in magnitude, so ``1 - e`` cancels about ``-mag(y)`` leading
-bits of ``e``; the ``max`` term pays for them and leaves 35 bits beyond
-``prec``.  Where ``y <= -1`` the difference lies in ``(-1, 1/e - 1]`` and
-nothing cancels.  The difference is returned, rounded to nearest at
-``prec`` bits, only if no rounding boundary lies within ``5 * 2^-wp`` of
-it, more than ``e``'s error, so the result is correctly rounded.  That
-test is made on the integer with shifts and masks: at these precisions
-the one boundary in reach is the midpoint between the two ``prec``-bit
-values around the difference, so the test compares the bits that
-rounding drops with half an ulp.  If a boundary is in reach, the value
-lies within about ``2^-32`` of an ulp of it, and ``exp`` is evaluated
-again with twice the guard bits.  The arguments here,
-``(m+1) * log1p(-2^-b)`` and ``-m * 2^-b``, have short binary expansions
-that put about 0.3 % of random cells there, and no cell of bits 1..32 by
-path lengths up to 10^6.  mpmath's own ``expm1`` evaluates ``exp`` twice
-whenever ``|y|`` is below about ``2^-10``: once to measure the
-cancellation and again at a precision that covers it.
+``_expm1(table, n)`` serves both forms.  Its argument is ``y = n * a``
+rounded to nearest at ``prec`` = ``_PREC_BITS``: ``a = log1p(-2^-b)`` (as
+cached) and ``n = m + 1`` for the exact form, ``a = -2^-b`` and ``n = m``
+for the approximation, so ``y`` is never positive.  Below ``2^-(prec+10)``
+in magnitude it returns ``y + y^2/2``, as mpmath's ``expm1`` does.  From
+``|y| = 2^8``, more than ``prec + 4``, it returns -1: ``exp(y)`` is below
+``2^-(prec+4)``, so ``exp(y) - 1`` rounds to -1.  Otherwise it takes
+``e = exp(y)`` from the width's power table for ``a``, within ``2^-wp`` of
+the true value at ``wp = prec + 35 + max(0, -mag(y))``, and rounds
+``e - 1`` once.
 
-The terms that depend on ``b`` alone -- ``x = 2^-b``, ``log1p(-x)`` and
-``exp(-x)`` -- are computed once per width and kept in a bounded
-``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries, so a table over many path
-lengths pays one ``exp`` per cell and function.  They are made with
-mpmath's ``log1p`` and ``exp`` inside their own ``workdps`` at the
-formulas' precision, whatever precision the caller has set, so a cached
-term is the very tuple an uncached evaluation gives.
+A power table holds ``E_j = exp(2^j * a)`` for ``j = 0, 1, ...`` as
+mantissas of ``W = prec + 41 - mag(a)`` bits with their exponents.
+``E_0`` is one ``mpf_exp`` at ``W`` bits, counted as within 2 ulps (it
+rounds an evaluation 14 bits longer); each further
+entry is the square of the last, truncated to ``W`` bits, and entries are
+added only as a longer ``n`` asks for them: a width whose arguments all
+take the series, as at ``b = 10^9``, never evaluates one.  ``exp(n * a)`` is the product
+of the entries for ``n``'s set bits, each partial product truncated to
+``W`` bits or more.  With ``u = 2^(1-W)``, ``E_j`` is within
+``(3 * 2^j - 1) * u`` of its value, relatively, and with
+``L = bit_length(n)`` the product is within ``(3 * 2^L - 4) * u``.
+Rounding ``n * a`` to ``y`` leaves ``delta = y - n * a``, at most half an
+ulp of ``y``; it is formed exactly on integers (it is 0 for the
+approximation while ``m < 2^243``), and the product times ``1 + delta``,
+truncated once more, is ``e``.  ``1 + delta`` is within ``delta^2`` of
+``exp(delta)``, relatively, which is below ``2^(49-prec)`` times
+``2^-wp``; the rest of ``e``'s error is below ``3 * 2^(L+1-W)``,
+relatively.  As ``|y| >= 2^(L + mag(a) - 2)``, where ``mag(y) <= 0`` that
+is less than ``2^-(wp+2)``, since ``wp <= prec + 36 - L - mag(a)``.  Where
+``0 < mag(y) <= 8``, ``wp`` is ``prec + 35`` while ``L`` can reach
+``mag(y) + 1 - mag(a)``, but ``exp(y) <= exp(-2^(mag(y)-1))`` more than
+pays for those bits, and the absolute error is again below ``2^-(wp+2)``.
+
+With ``e = man * 2^exp`` in ``(0, 1)``, ``1 - e = (2^-exp - man) * 2^exp``
+is formed exactly as an integer; where ``e < 2^-(prec+4)`` the result is
+-1 without it, which keeps the integer below about ``2 * wp`` bits.
+Where ``|y| < 1``, ``exp(y) - 1`` is about ``2^mag(y)`` in magnitude, so
+``1 - e`` cancels about ``-mag(y)`` leading bits of ``e``; the ``max`` term
+pays for them and leaves 35 bits beyond ``prec``.  Where ``y <= -1`` the
+difference lies in ``(-1, 1/e - 1]`` and nothing cancels.  The difference
+is returned, rounded to nearest at ``prec`` bits, only if no rounding
+boundary lies within ``5 * 2^-wp`` of it, more than ``e``'s error, so the
+result is correctly rounded.  That test is made on the integer with
+shifts and masks: at these precisions the one boundary in reach is the
+midpoint between the two ``prec``-bit values around the difference, so the
+test compares the bits that rounding drops with half an ulp.  If a
+boundary is in reach, the value lies within about ``2^-32`` of an ulp of
+it, and ``exp(y)`` is evaluated again by ``mpf_exp`` with twice the guard
+bits, and again with twice those until the rounding is decided.  The
+arguments here have short binary expansions that put about 0.3 % of
+random cells there, and no cell of bits 1..32 by path lengths up to 10^6.
+mpmath's own ``expm1`` evaluates ``exp`` twice whenever ``|y|`` is below
+about ``2^-10``: once to measure the cancellation and again at a precision
+that covers it.
+
+The terms that depend on ``b`` alone -- ``x = 2^-b``, ``exp(-x)`` and the
+power tables of ``log1p(-x)`` and ``-x`` -- are made once per width and
+kept in a bounded ``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries.  A
+table over many path lengths pays, per width, mpmath's ``log1p`` and
+``exp`` and one ``mpf_exp`` per power table, and, unless a rounding
+boundary is in reach, no exp per cell.  A table's length is at most
+the bit length of the longest ``n`` it has served, and, by the -1 above,
+at most ``9 - mag(a)`` entries.  ``x``, ``log1p(-x)`` and ``exp(-x)`` are
+made with mpmath's ``log1p`` and ``exp`` inside their own ``workdps`` at the
+formulas' precision, and the tables on ``libmp`` alone, whatever precision
+the caller has set, so a cached term is the very tuple an uncached
+evaluation gives.
 
 ``exact_falsification_prob_float`` is the same closed form at double
 precision, for callers that only draw the value (the figure's curve).
@@ -137,40 +172,101 @@ class FalsificationEstimate:
     abs_diff: mpf
 
 
+class _PowerTable:
+    """exp(2^j * a) for j = 0, 1, ..., for one ``a`` in (-1, 0), as
+    ``(man, exp)`` pairs with ``man`` of ``bits`` bits; entries are made as
+    multiples of ``a`` ask for them, the first by ``mpf_exp`` and the rest
+    by squaring."""
+
+    __slots__ = ("a", "bits", "powers")
+
+    def __init__(self, a: tuple) -> None:
+        self.a = a
+        self.bits = _PREC_BITS + 41 - (a[2] + a[3])
+        self.powers: list[tuple[int, int]] = []
+
+    def exp(self, n: int, y: tuple) -> tuple:
+        """exp(y) as a raw tuple, for n >= 1 and y = n * a rounded to nearest
+        at ``_PREC_BITS``: the entries for n's set bits times 1 + (y - n * a)."""
+        bits, powers = self.bits, self.powers
+        if len(powers) < n.bit_length():
+            # Extended in a copy and swapped in whole, so that a caller in
+            # another thread never reads an entry squared from a stale one.
+            powers = list(powers)
+            if not powers:
+                import mpmath
+
+                libmp = mpmath.libmp
+                _, man, exp, bc = libmp.mpf_exp(self.a, bits, libmp.round_nearest)
+                powers.append((man << (bits - bc), exp - (bits - bc)))
+            while len(powers) < n.bit_length():
+                man, exp = powers[-1]
+                man *= man
+                shift = man.bit_length() - bits
+                powers.append((man >> shift, 2 * exp + shift))
+            self.powers = powers
+        # Each entry is at least 2^(bits-1), so a product shifted right by
+        # bits - 1 is too: its mantissa grows by at most a bit per entry.
+        shift = bits - 1
+        man, exp = 1 << shift, -shift
+        for bit, (p_man, p_exp) in zip(bin(n)[:1:-1], powers):
+            if bit == "1":
+                man = man * p_man >> shift
+                exp += p_exp + shift
+        # y - n * a = d * 2^low, exactly (both are negative)
+        _, a_man, a_exp, _ = self.a
+        _, y_man, y_exp, _ = y
+        low = min(a_exp, y_exp)
+        d = (n * a_man << (a_exp - low)) - (y_man << (y_exp - low))
+        man += man * d >> -low
+        return (0, man, exp, man.bit_length())
+
+
 @lru_cache(maxsize=_WIDTH_TERMS_CACHE)
-def _width_terms(bits: int) -> tuple[tuple, tuple, tuple]:
-    """(x, log1p(-x), exp(-x)) for x = 2^-bits as raw mpf tuples, at the
-    formulas' precision."""
+def _width_terms(bits: int) -> tuple[tuple, tuple, _PowerTable, _PowerTable]:
+    """(x, exp(-x)) for x = 2^-bits as raw mpf tuples at the formulas'
+    precision, and the power tables of log1p(-x) and -x."""
     import mpmath
 
     with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
         x = mpmath.mpf(2) ** (-bits)
-        return x._mpf_, mpmath.log1p(-x)._mpf_, mpmath.exp(-x)._mpf_
+        return (
+            x._mpf_,
+            mpmath.exp(-x)._mpf_,
+            _PowerTable(mpmath.log1p(-x)._mpf_),
+            _PowerTable((-x)._mpf_),
+        )
 
 
-def _expm1(y: tuple, prec: int) -> tuple:
-    """exp(y) - 1 for a raw mpf y <= 0, correctly rounded to nearest at prec bits."""
+def _expm1(table: _PowerTable, n: int) -> tuple:
+    """exp(y) - 1 for y = n * table.a rounded to nearest at _PREC_BITS bits,
+    itself correctly rounded to nearest at _PREC_BITS bits."""
     import mpmath
 
     libmp = mpmath.libmp
     rnd = libmp.round_nearest
+    prec = _PREC_BITS
+    y = libmp.mpf_mul_int(table.a, n, prec, rnd)
     if y == libmp.fzero:
         return y
     mag = y[2] + y[3]
     if mag < -(prec + 10):
         return libmp.mpf_add(y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, rnd)
+    if mag > (prec + 4).bit_length():
+        return libmp.fnone  # y < -(prec + 4), so exp(y) < 2^-(prec+4)
     wp = prec + 35 + max(0, -mag)
-    while True:
-        d = _exp_minus_one(libmp.mpf_exp(y, wp, rnd), wp, prec)
-        if d is not None:
-            return d
+    e = table.exp(n, y)
+    while (d := _exp_minus_one(e, wp, prec)) is None:
         wp += wp - prec  # the guard bits left a rounding boundary in reach
+        e = libmp.mpf_exp(y, wp, rnd)
+    return d
 
 
 def _exp_minus_one(e: tuple, wp: int, prec: int) -> tuple | None:
-    """e - 1 rounded to nearest at prec bits, for e = exp(y) in (0, 1) as
-    ``mpf_exp`` gives it at wp bits; None if a rounding boundary lies within
-    ``5 * 2^-wp`` of e - 1, where e's own error could decide the rounding."""
+    """e - 1 rounded to nearest at prec bits, for e in (0, 1) within 2^-wp
+    of exp(y), as ``mpf_exp`` at wp bits or a power table gives it; None if
+    a rounding boundary lies within ``5 * 2^-wp`` of e - 1, where e's own
+    error could decide the rounding."""
     import mpmath
 
     libmp = mpmath.libmp
@@ -203,12 +299,9 @@ def exact_falsification_prob(params: PathParams) -> mpf:
     """
     import mpmath
 
-    libmp = mpmath.libmp
-    _, log1p_neg_x, _ = _width_terms(params.bits)
-    y = libmp.mpf_mul_int(
-        log1p_neg_x, params.path_len + 1, _PREC_BITS, libmp.round_nearest
-    )
-    return mpmath.mp.make_mpf(libmp.mpf_neg(_expm1(y, _PREC_BITS)))
+    _, _, table, _ = _width_terms(params.bits)
+    expm1 = _expm1(table, params.path_len + 1)
+    return mpmath.mp.make_mpf(mpmath.libmp.mpf_neg(expm1))
 
 
 def exact_falsification_prob_float(params: PathParams) -> float:
@@ -276,9 +369,8 @@ def approx_falsification_prob(params: PathParams) -> mpf:
 
     libmp = mpmath.libmp
     rnd = libmp.round_nearest
-    x, _, exp_neg_x = _width_terms(params.bits)
-    y = libmp.mpf_mul_int(x, -params.path_len, _PREC_BITS, rnd)
-    folded = libmp.mpf_mul(exp_neg_x, _expm1(y, _PREC_BITS), _PREC_BITS, rnd)
+    x, exp_neg_x, _, table = _width_terms(params.bits)
+    folded = libmp.mpf_mul(exp_neg_x, _expm1(table, params.path_len), _PREC_BITS, rnd)
     return mpmath.mp.make_mpf(libmp.mpf_sub(x, folded, _PREC_BITS, rnd))
 
 

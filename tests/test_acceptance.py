@@ -6,7 +6,6 @@ to see all verdict lines, or `-m slow` for the opt-in full-scale grid.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from merkle_falsify.probability import (
     exact_falsification_prob,
     exact_falsification_prob_termsum,
 )
-from merkle_falsify.simulate import ExperimentConfig, build_grid, run_grid
+from merkle_falsify.simulate import ExperimentConfig, _usable_cpus, build_grid, run_grid
 import test_merkle as merkle_suite
 
 from frozen_values import REFERENCE_DIFFS
@@ -218,7 +217,7 @@ def test_criterion_8_precision_stress():
 def test_full_scale_grid_sha256():
     # the headline experiment at full scale: 100,000 trials per cell over
     # b in {2,4,6,8,10} x m in {10,100,1000}; minutes of runtime, so opt-in
-    workers = min(4, os.cpu_count() or 1)
+    workers = min(4, _usable_cpus())
     grid = build_grid(
         [2, 4, 6, 8, 10], [10, 100, 1000],
         trials_per_experiment=1000, num_experiments=100, master_seed=0,

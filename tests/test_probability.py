@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -346,9 +348,10 @@ def test_probability_rational_decimal_crosscheck():
 )
 @settings(max_examples=100, deadline=None)
 def test_cached_width_terms_match_uncached_evaluation(b, m, caller_dps):
-    # The per-width terms are cached on the first call for a width; made
-    # under a caller's low or high working precision, that call must still
-    # cache the terms at the formulas' own precision.
+    # The per-width terms, power tables included, are cached on the first
+    # call for a width; made under a caller's low or high working precision,
+    # that call must still cache the terms and build the tables at the
+    # formulas' own precision.
     exact, approx = closed_forms_500(b, m)
     probability._width_terms.cache_clear()
     params = PathParams(b, m)
@@ -421,22 +424,103 @@ def _count_exp_calls(monkeypatch) -> list:
 
 def test_expm1_retries_only_where_a_boundary_is_in_reach(monkeypatch):
     # The analytic-table benchmark's grid, bits 1..32 by 16 path lengths
-    # from 0 to 10^6: one exp per nonzero expm1 argument, no retry (the
-    # approx form's argument -m * 2^-b is 0 at m = 0).
+    # from 0 to 10^6: once the power tables are built, every exp comes from
+    # them, and no cell retries.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from workloads import AnalyticTable
 
     bits, path_lens = AnalyticTable.BITS, AnalyticTable.PATH_LENS
-    diff_table(bits, path_lens)  # caches the per-width terms first
+    diff_table(bits, path_lens)  # builds the tables first
     calls = _count_exp_calls(monkeypatch)
     diff_table(bits, path_lens)
-    assert len(calls) == 2 * len(bits) * len(path_lens) - len(bits) == 992
-    # Near a boundary: one exp per form, and one retry at twice the guard bits.
+    assert calls == []
+    # Near a boundary: the table's exp leaves it open, and one mpf_exp at
+    # twice the guard bits decides it.
+    prec = probability._PREC_BITS
     for b, m in NEAR_BOUNDARY_CELLS:
-        probability._width_terms(b)
+        approximation_error(PathParams(b, 1))  # starts both tables
         calls.clear()
+        got = approximation_error(PathParams(b, m))
+        assert len(calls) == 1 and calls[0] - prec >= 2 * 35, (b, m, calls)
+        assert (got.exact, got.approx) == closed_forms_500(b, m)
+
+
+@given(
+    b=st.integers(min_value=1, max_value=300),
+    n=st.integers(min_value=1, max_value=2**66),
+    table_index=st.sampled_from((2, 3)),
+)
+@example(b=1, n=10**20 + 1, table_index=2)  # (b, m) = (1, 10^20), exact form
+@example(b=1, n=10**20, table_index=3)  # and the approximation
+@example(b=1, n=2**64 - 1, table_index=2)
+@example(b=32, n=2**64, table_index=3)
+@example(b=300, n=2**64 + 1, table_index=2)
+@settings(max_examples=100, deadline=None)
+def test_power_table_exp_is_within_its_radius(b, n, table_index):
+    # exp(n * a) from a width's table lies within relative 3 * 2^(L+1-bits)
+    # of mpf_exp at twice the table's precision, L = n.bit_length().  With
+    # n * a rounded to the formulas' precision, wherever _expm1 takes the
+    # table's exp(y), that lies within 2^-wp of exp(y), at the wp _expm1
+    # hands to _exp_minus_one.
+    table = probability._width_terms(b)[table_index]
+    prec, rnd = probability._PREC_BITS, libmp.round_nearest
+
+    def error(y):
+        want = libmp.mpf_exp(y, 2 * table.bits, rnd)
+        return want, libmp.mpf_abs(libmp.mpf_sub(table.exp(n, y), want))
+
+    na = libmp.mpf_mul(table.a, libmp.from_int(n))  # exact
+    want, err = error(na)
+    radius = libmp.mpf_shift(libmp.mpf_mul(want, libmp.from_int(3)), n.bit_length() + 1 - table.bits)
+    assert libmp.mpf_le(err, radius)
+    y = libmp.mpf_mul_int(table.a, n, prec, rnd)
+    mag = y[2] + y[3]
+    if -(prec + 10) <= mag <= (prec + 4).bit_length():
+        _, err = error(y)
+        assert libmp.mpf_le(err, libmp.from_man_exp(1, -(prec + 35 + max(0, -mag))))
+
+
+def test_width_caches_stay_bounded():
+    # After 300 distinct widths the per-width terms and tables are kept for
+    # at most _WIDTH_TERMS_CACHE widths, and a table holds no more entries
+    # than the bit length of the longest multiple it has served.
+    probability._width_terms.cache_clear()
+    path_len = {b: 1000 * b for b in range(1, 301)}
+    for b, m in path_len.items():
         approximation_error(PathParams(b, m))
-        assert len(calls) == 3, (b, m)
+    cached = probability._width_terms.cache_info().currsize
+    assert cached <= probability._WIDTH_TERMS_CACHE < 300
+    for b in range(301 - cached, 301):
+        _, _, exact, approx = probability._width_terms(b)
+        assert len(exact.powers) <= (path_len[b] + 1).bit_length()
+        assert len(approx.powers) <= path_len[b].bit_length()
+    # Past |y| = 2^8 the expm1 is -1 without the table, so at b = 1 no table
+    # grows past the 9 entries that m = 300 needs, however long the path.
+    for m in (300, 10**30):
+        approximation_error(PathParams(1, m))
+    assert [len(t.powers) for t in probability._width_terms(1)[2:]] == [9, 9]
+
+
+def test_power_tables_shared_between_threads():
+    # Four threads start and extend the same widths' tables at once, and
+    # still get the serial values: no entry is squared from a stale last
+    # one.  Each round makes the per-width terms serially first, leaving
+    # the tables empty: mpmath's log1p and exp set the process-wide mp.prec.
+    widths = (1, 7, 30, 100, 200)
+    cells = [PathParams(b, 2**k) for b in widths for k in range(1, 42, 4)]
+    want = [approximation_error(p) for p in cells]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            probability._width_terms.cache_clear()
+            for b in widths:
+                probability._width_terms(b)
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(approximation_error, p) for p in cells]
+                assert [f.result(timeout=60) for f in futures] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _mpf_exp_minus_one(e: tuple, wp: int, prec: int):
