@@ -86,15 +86,28 @@ that covers it.
 The terms that depend on ``b`` alone -- ``x = 2^-b``, ``exp(-x)`` and the
 power tables of ``log1p(-x)`` and ``-x`` -- are made once per width and
 kept in a bounded ``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries.  A
-table over many path lengths pays, per width, mpmath's ``log1p`` and
-``exp`` and one ``mpf_exp`` per power table, and, unless a rounding
-boundary is in reach, no exp per cell.  A table's length is at most
-the bit length of the longest ``n`` it has served, and, by the -1 above,
-at most ``9 - mag(a)`` entries.  ``x``, ``log1p(-x)`` and ``exp(-x)`` are
-made with mpmath's ``log1p`` and ``exp`` inside their own ``workdps`` at the
-formulas' precision, and the tables on ``libmp`` alone, whatever precision
-the caller has set, so a cached term is the very tuple an uncached
-evaluation gives.
+table over many path lengths pays, per width, one ``log1p`` and one ``exp``
+and one ``mpf_exp`` per power table, and, unless a rounding boundary is in
+reach, no exp per cell.  A table's length is at most the bit length of the
+longest ``n`` it has served, and, by the -1 above, at most ``9 - mag(a)``
+entries.  ``exp(-x)`` is ``mpf_exp(-x)`` at ``prec`` bits.  ``log1p(-x)``
+follows mpmath 1.3.0's ``log1p`` rule at ``prec + 10`` bits: below
+``2^-(prec+10)`` in magnitude, that is for ``b > 254``, it is
+``-x - x^2/2``, which rounds to ``-x``; otherwise it is ``mpf_log`` of the
+exact ``1 - x``; either is then rounded to ``prec`` bits.  These are the
+tuples mpmath's ``log1p`` and ``exp`` return at 72 digits, made on
+``libmp`` alone like the tables, so a cached term is the very tuple an
+uncached evaluation gives, in any thread and whatever precision a caller
+has set.
+
+``_cell_scores`` scores a simulated cell against the exact form on the same
+``libmp`` calls, at ``_SCORE_BITS`` = 216 bits, the binary precision of
+``PRECISION_DPS``: the operations and their order are those of mpmath's
+context arithmetic under ``workdps(PRECISION_DPS)``, so the three floats
+are the ones that arithmetic gives, without setting ``mp.prec``.  Every
+value this module returns is thus a pure function of its arguments, and
+the closed forms and cell scores may be called from several threads at
+once.
 
 ``exact_falsification_prob_float`` is the same closed form at double
 precision, for callers that only draw the value (the figure's curve).
@@ -126,6 +139,8 @@ PRECISION_DPS = 64
 _GUARD_DPS = 8
 # The same precision in bits, as mpmath.libmp.dps_to_prec gives it (243).
 _PREC_BITS = round((PRECISION_DPS + _GUARD_DPS + 1) * math.log2(10))
+# PRECISION_DPS itself in bits (216), at which a simulated cell is scored.
+_SCORE_BITS = round((PRECISION_DPS + 1) * math.log2(10))
 
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
@@ -226,16 +241,19 @@ class _PowerTable:
 def _width_terms(bits: int) -> tuple[tuple, tuple, _PowerTable, _PowerTable]:
     """(x, exp(-x)) for x = 2^-bits as raw mpf tuples at the formulas'
     precision, and the power tables of log1p(-x) and -x."""
-    import mpmath
+    from mpmath import libmp
 
-    with mpmath.workdps(PRECISION_DPS + _GUARD_DPS):
-        x = mpmath.mpf(2) ** (-bits)
-        return (
-            x._mpf_,
-            mpmath.exp(-x)._mpf_,
-            _PowerTable(mpmath.log1p(-x)._mpf_),
-            _PowerTable((-x)._mpf_),
-        )
+    rnd = libmp.round_nearest
+    x = libmp.mpf_shift(libmp.fone, -bits)
+    neg_x = libmp.mpf_neg(x)
+    # mpmath's log1p at prec + 10 bits: -x - x^2/2 below 2^-(prec+10),
+    # which rounds to -x, and otherwise the log of the exact 1 - x.
+    if 1 - bits < -(_PREC_BITS + 10):
+        log1p = neg_x
+    else:
+        log = libmp.mpf_log(libmp.mpf_sub(libmp.fone, x), _PREC_BITS + 10, rnd)
+        log1p = libmp.mpf_pos(log, _PREC_BITS, rnd)
+    return x, libmp.mpf_exp(neg_x, _PREC_BITS, rnd), _PowerTable(log1p), _PowerTable(neg_x)
 
 
 def _expm1(table: _PowerTable, n: int) -> tuple:
@@ -394,6 +412,27 @@ def approximation_error(params: PathParams) -> FalsificationEstimate:
     return FalsificationEstimate(
         params, exact, approx, mpmath.mp.make_mpf(libmp.mpf_abs(diff))
     )
+
+
+def _cell_scores(exact: mpf, total: int, matches: int) -> tuple[float, float, float]:
+    """(P, std_error, z) as floats for ``matches`` of ``total`` trials
+    against P = ``exact``: std_error = sqrt(P(1 - P) / total) and
+    z = (matches / total - P) / std_error, each step rounded to nearest at
+    ``_SCORE_BITS``.  Where std_error is 0, z is 0 if every trial matched
+    and -inf otherwise."""
+    from mpmath import libmp
+
+    prec, rnd = _SCORE_BITS, libmp.round_nearest
+    p, n = exact._mpf_, libmp.from_int(total)
+    var = libmp.mpf_mul(p, libmp.mpf_sub(libmp.fone, p, prec, rnd), prec, rnd)
+    std_error = libmp.mpf_sqrt(libmp.mpf_div(var, n, prec, rnd), prec, rnd)
+    if std_error != libmp.fzero:
+        rate = libmp.mpf_div(libmp.from_int(matches, prec, rnd), n, prec, rnd)
+        z = libmp.mpf_div(libmp.mpf_sub(rate, p, prec, rnd), std_error, prec, rnd)
+        z_score = libmp.to_float(z, rnd=rnd)
+    else:
+        z_score = 0.0 if matches == total else -math.inf
+    return libmp.to_float(p, rnd=rnd), libmp.to_float(std_error, rnd=rnd), z_score
 
 
 def validate_grid(bits_list, path_lens) -> None:

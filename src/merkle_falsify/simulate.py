@@ -50,10 +50,11 @@ Before it starts one, ``run_grid`` imports ``numpy.random``, so that workers
 started by fork inherit the loaded modules instead of each importing them
 again; numpy 2 loads ``numpy.random`` lazily, so ``import numpy`` alone
 leaves each worker to import it on its first experiment.
-``CellResult`` imports mpmath when it scores a cell, as do the closed-form
-functions of ``probability``, so of the commands only ``prob``, ``table``,
-``simulate`` and ``figure`` load mpmath, and only ``simulate`` loads numpy;
-``merkle`` builds, proofs and verification load neither.
+``CellResult`` scores a cell with ``probability``'s closed form and its
+private ``_cell_scores``, which import mpmath's ``libmp`` on their first
+value; this module imports no mpmath.  So of the commands only ``prob``,
+``table``, ``simulate`` and ``figure`` load mpmath, and only ``simulate``
+loads numpy; ``merkle`` builds, proofs and verification load neither.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .hashing import _MAX_BITS, _MAX_SEED, IDEAL, SHA256, HashSpec, _require_int, node_fn
-from .probability import PRECISION_DPS, PathParams, exact_falsification_prob, validate_grid
+from .probability import PathParams, _cell_scores, exact_falsification_prob, validate_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,9 +146,11 @@ class CellResult:
     hash a simulation runs), path_len >= 0 and seed in 0..2^64 - 1.  Then
     exact_p is the closed form P at (bits, path_len), std_error is
     sqrt(P(1 - P) / total_trials) and z_score is
-    (matches / total_trials - P) / std_error.
+    (matches / total_trials - P) / std_error.  Each step is rounded to
+    nearest at 216 bits, the binary precision of ``PRECISION_DPS``, on
+    mpmath's ``libmp`` tuples, and no mpmath context is read or written.
 
-    std_error is 0 only where P rounds to 1 at the working precision.  There
+    std_error is 0 only where the closed form's P rounds to 1.  There
     z is 0 if every trial matched and -inf otherwise, so a saturated cell with
     a shortfall fails instead of passing.  ``passed`` is |z_score| <= Z_LIMIT.
     """
@@ -167,19 +170,11 @@ class CellResult:
         _require_int("bits", self.bits, 1, _MAX_BITS[SHA256])
         _require_int("path_len", self.path_len, 0)
         _require_int("seed", self.seed, 0, _MAX_SEED)
-        import mpmath
-
-        total, matches = self.total_trials, self.matches
         exact = exact_falsification_prob(PathParams(self.bits, self.path_len))
-        with mpmath.workdps(PRECISION_DPS):
-            std_error = mpmath.sqrt(exact * (1 - exact) / total)
-            if std_error != 0:
-                z = (mpmath.mpf(matches) / total - exact) / std_error
-            else:
-                z = mpmath.mpf(0) if matches == total else mpmath.ninf
-        object.__setattr__(self, "exact_p", float(exact))
-        object.__setattr__(self, "std_error", float(std_error))
-        object.__setattr__(self, "z_score", float(z))
+        exact_p, std_error, z_score = _cell_scores(exact, self.total_trials, self.matches)
+        object.__setattr__(self, "exact_p", exact_p)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "z_score", z_score)
 
     @property
     def empirical_p(self) -> float:

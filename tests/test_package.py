@@ -3,8 +3,10 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import merkle_falsify
@@ -14,7 +16,9 @@ from merkle_falsify import (
     HashSpec,
     PathParams,
     cli,
+    probability,
     proof_from_json,
+    report,
     run_grid,
 )
 
@@ -272,3 +276,51 @@ def test_integer_inputs_name_field_bounds_and_value(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_no_call_sets_the_mpmath_context(tmp_path, monkeypatch):
+    # mpmath's precision and rounding are process-wide, so a package call
+    # that set them, even briefly, would race with other threads and with a
+    # caller's own settings.  With their setters made to raise, every
+    # command that computes a probability, and the CSV reader and
+    # format_sig, still run from an empty width-terms cache.
+    value = mpmath.mpf(2) ** -20
+    context = type(mpmath.mp)
+
+    def refuse(self, value):
+        raise RuntimeError("a package call set the mpmath context")
+
+    guards = {
+        "prec": property(context.prec.fget, refuse),
+        "dps": property(context.dps.fget, refuse),
+        # mpmath 1.3.0 keeps the rounding mode in _prec_rounding[1] and
+        # gives it no property of its own.
+        "rounding": property(lambda ctx: ctx._prec_rounding[1], refuse),
+    }
+    for name, guard in guards.items():
+        monkeypatch.setattr(context, name, guard, raising=False)
+    with pytest.raises(RuntimeError):
+        mpmath.mp.prec = 100
+    with pytest.raises(RuntimeError):
+        mpmath.mp.rounding = "f"
+    before = list(mpmath.mp._prec_rounding)
+    probability._width_terms.cache_clear()
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(argv)) == 0, argv
+
+    for which in ("exact", "approx", "diff"):
+        run("prob", which, "--bits", "30", "--path-len", "10")
+    run("table", "--bits", "2,200,300", "--path-lens", "0,10")
+    run("table", "--format", "md")
+    sim_csv = tmp_path / "s.csv"
+    run("simulate", "--bits", "2,6", "--path-lens", "1,1000", "--trials", "20",
+        "--experiments", "2", "--seed", "0", "--output", str(sim_csv))
+    run("figure", str(sim_csv), "--output", str(tmp_path / "f.svg"))
+    cells = report.read_simulation_csv(sim_csv.read_text())
+    assert [c.std_error == 0 for c in cells] == [False, True, False, False]
+    assert report.format_sig(value) == "9.5367431640625e-7"
+    assert report.format_sig(Fraction(1, 3)) == "0.33333333333333333"
+    assert report.format_sig(0.1) == "0.10000000000000001"
+    assert mpmath.mp._prec_rounding == before

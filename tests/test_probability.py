@@ -22,6 +22,7 @@ from merkle_falsify.probability import (
     exact_falsification_prob_float,
     exact_falsification_prob_termsum,
 )
+from merkle_falsify.simulate import CellResult
 
 from frozen_values import EXACT_10_10_DECIMAL, REFERENCE_DIFFS
 
@@ -381,6 +382,14 @@ def _with_examples(cells):
 @example(b=256, m=10)
 @example(b=300, m=10**9)
 @example(b=78, m=1486)  # mpmath's own expm1 at 72 digits is 1 ulp off here
+# log1p(-2^-b) is a log at b = 254 and its series at b = 255; b = 242 is
+# the one width where the log rounded from 253 bits differs from a log
+# taken at 243 bits.
+@example(b=242, m=10)
+@example(b=254, m=10)
+@example(b=255, m=10)
+@example(b=10**4, m=10**12)
+@example(b=10**6, m=1)
 @_with_examples(NEAR_BOUNDARY_CELLS)
 # The exact form saturates at 1 from m = 243 (b = 1) and m = 587 (b = 2),
 # and its exp(y) falls below the -1 shortcut's 2^-247 from m = 246 (b = 1)
@@ -398,12 +407,15 @@ def test_closed_forms_are_correctly_rounded(b, m):
         assert got.abs_diff == abs(got.approx - got.exact)
     # log1p(-2^-b) and (m + 1) * log1p(-2^-b) are rounded at 243 bits before
     # the expm1, so against the closed forms taken wholly at 500 digits each
-    # value keeps an error of up to 2.5 units in its last place.
+    # value keeps an error of up to 2.5 units in its last place.  The
+    # approximation is taken as x - exp(-x) * expm1(-m * x): written as
+    # x + exp(-x) - exp(-(m + 1) * x), it cancels about b * log10(2)
+    # digits, all 500 of them from b = 1661.
     with mpmath.workdps(500):
         x = mpf(2) ** -b
         for got_value, true in (
             (got.exact, -mpmath.expm1((m + 1) * mpmath.log1p(-x))),
-            (got.approx, x + mpmath.exp(-x) - mpmath.exp(-(m + 1) * x)),
+            (got.approx, x - mpmath.exp(-x) * mpmath.expm1(-m * x)),
         ):
             ulp = mpmath.ldexp(1, mpmath.mag(true) - probability._PREC_BITS)
             assert abs(got_value - true) <= 2.5 * ulp, (b, m)
@@ -502,25 +514,29 @@ def test_width_caches_stay_bounded():
 
 
 def test_power_tables_shared_between_threads():
-    # Four threads start and extend the same widths' tables at once, and
-    # still get the serial values: no entry is squared from a stale last
-    # one.  Each round makes the per-width terms serially first, leaving
-    # the tables empty: mpmath's log1p and exp set the process-wide mp.prec.
+    # Four threads make the same widths' terms from an empty cache, start
+    # and extend their tables at once, and score simulated cells, and still
+    # get the serial values: no entry is squared from a stale last one, and
+    # no call sets the process-wide mp.prec that another thread computes at.
     widths = (1, 7, 30, 100, 200)
     cells = [PathParams(b, 2**k) for b in widths for k in range(1, 42, 4)]
+    scored = [(b, m, 10**6, 10**5, 0) for b in widths for m in (10, 10**4)]
     want = [approximation_error(p) for p in cells]
+    want_scored = [CellResult(*args) for args in scored]
+    prec = mpmath.mp.prec
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
             probability._width_terms.cache_clear()
-            for b in widths:
-                probability._width_terms(b)
             with ThreadPoolExecutor(4) as pool:
+                scoring = [pool.submit(CellResult, *args) for args in scored]
                 futures = [pool.submit(approximation_error, p) for p in cells]
+                assert [f.result(timeout=60) for f in scoring] == want_scored
                 assert [f.result(timeout=60) for f in futures] == want
     finally:
         sys.setswitchinterval(interval)
+    assert mpmath.mp.prec == prec
 
 
 def _mpf_exp_minus_one(e: tuple, wp: int, prec: int):

@@ -4,13 +4,15 @@ import multiprocessing
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from merkle_falsify import simulate
 from merkle_falsify.hashing import IDEAL, SHA256, HashSpec, node_fn
+from merkle_falsify.probability import PRECISION_DPS, PathParams, exact_falsification_prob
 from merkle_falsify.simulate import (
     ALPHABET,
     TRUNCATED,
@@ -415,6 +417,44 @@ def test_zscore_minus_inf_when_saturated_cell_falls_short(matches):
     assert (cell.exact_p, cell.std_error) == (1.0, 0.0)
     assert cell.z_score == float("-inf")
     assert not cell.passed
+
+
+def _scores_in_context(bits, path_len, total, matches):
+    """A cell's three floats from mpmath's context arithmetic under
+    workdps(PRECISION_DPS), the reference for CellResult's own scoring."""
+    exact = exact_falsification_prob(PathParams(bits, path_len))
+    with mpmath.workdps(PRECISION_DPS):
+        std_error = mpmath.sqrt(exact * (1 - exact) / total)
+        if std_error != 0:
+            z = (mpmath.mpf(matches) / total - exact) / std_error
+        else:
+            z = mpmath.mpf(0) if matches == total else mpmath.ninf
+    return float(exact), float(std_error), float(z)
+
+
+@st.composite
+def _cells(draw):
+    total = draw(st.integers(1, 10**12))
+    return (
+        draw(st.integers(1, 256)),
+        draw(st.integers(0, 10**12)),
+        total,
+        draw(st.integers(0, total)),
+    )
+
+
+@given(_cells())
+@example((2, 586, 10000, 0))  # P is 1 - 2^-243, one ulp below 1 at 243 bits
+@example((2, 1000, 1000, 1000))  # P rounds to 1, every trial matched
+@example((2, 1000, 1000, 999))  # and one short
+@example((14, 10, 8000, 0))  # no match where 5.4 are expected
+@settings(max_examples=200, deadline=None)
+def test_cell_scores_match_context_arithmetic(cell):
+    got = CellResult(*cell, seed=0)
+    want = _scores_in_context(*cell)
+    assert [v.hex() for v in (got.exact_p, got.std_error, got.z_score)] == [
+        v.hex() for v in want
+    ]
 
 
 def test_run_grid_worker_invariance():
