@@ -21,11 +21,30 @@ pairwise, which keeps most shifts and products on short numbers.
 The approximation is reported raw: it exceeds 1 for small ``b`` and large
 ``m`` and is a diagnostic of the expansion, not a probability.
 
-Both closed forms and their difference are computed on mpmath's raw
-``libmp`` tuples at ``_PREC_BITS`` = 243 bits, the binary precision of
-``PRECISION_DPS + _GUARD_DPS`` = 72 digits, each operation rounded to
-nearest.  No mpmath context is read or written, so a caller's ``mp.prec``
-neither changes a value nor is changed by one.
+Both closed forms and their difference are mpmath raw ``libmp`` tuples at
+``_PREC_BITS`` = 243 bits, the binary precision of ``PRECISION_DPS +
+_GUARD_DPS`` = 72 digits, each operation rounded to nearest.  No mpmath
+context is read or written, so a caller's ``mp.prec`` neither changes a
+value nor is changed by one.
+
+A cell's own steps run on Python integers, each rounded once by
+``_round``: it rounds a positive mantissa to ``_PREC_BITS`` bits, ties to
+even, and strips its trailing zero bits, which is what ``libmp``'s
+``normalize`` does under ``round_nearest``.  Those steps are the argument
+``y = n * a`` as ``a``'s mantissa times ``n``; the difference ``1 - e``
+in ``_expm1``; the product ``exp(-x) * expm1(-m*x)``; the sum
+``x - exp(-x) * expm1(-m*x)``; and ``|approx - exact|``.  ``_add`` aligns
+the two operands of a sum exactly, save where the one with the larger
+exponent exceeds the other by more than ``prec + 4`` bits of magnitude:
+there it replaces the smaller by a sticky unit, as ``mpf_add`` does.
+Each of these values is thus correctly rounded from exact integers, and
+is the tuple ``libmp``'s ``mpf_mul_int``, ``from_man_exp``, ``mpf_mul``
+and ``mpf_sub`` give.  ``tests/test_probability.py`` pins that:
+``test_round_is_libmp_normalize`` against ``from_man_exp``,
+``test_add_rounds_as_mpf_add`` against ``mpf_add``, and
+``test_closed_forms_are_correctly_rounded`` on whole cells.  ``libmp`` is
+still called for the per-width terms, for the ``mpf_exp`` retry near a
+rounding boundary and for the series below ``2^-(prec+10)``.
 
 ``_expm1(table, n)`` serves both forms.  Its argument is ``y = n * a``
 rounded to nearest at ``prec`` = ``_PREC_BITS``: ``a = log1p(-2^-b)`` (as
@@ -145,6 +164,10 @@ _SCORE_BITS = round((PRECISION_DPS + 1) * math.log2(10))
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
 
+# Zero and -1 as raw mpf tuples: libmp's fzero and fnone.
+_ZERO = (0, 0, 0, 0)
+_MINUS_ONE = (1, 1, 0, 1)
+
 # Grids reproducing the published difference table.
 DEFAULT_BITS = (2, 4, 6, 8, 10)
 DEFAULT_PATH_LENS = (10, 50, 100, 500, 1000)
@@ -256,41 +279,75 @@ def _width_terms(bits: int) -> tuple[tuple, tuple, _PowerTable, _PowerTable]:
     return x, libmp.mpf_exp(neg_x, _PREC_BITS, rnd), _PowerTable(log1p), _PowerTable(neg_x)
 
 
+def _round(sign: int, man: int, exp: int) -> tuple:
+    """(-1)^sign * man * 2^exp as a raw mpf tuple, for man > 0: man rounded
+    to nearest at _PREC_BITS bits, ties to even, with its trailing zero bits
+    stripped, as libmp's normalize does under round_nearest."""
+    drop = man.bit_length() - _PREC_BITS
+    if drop > 0:
+        low = man & ((1 << drop) - 1)
+        man >>= drop
+        exp += drop
+        half = 1 << (drop - 1)
+        if low > half or low == half and man & 1:
+            man += 1  # a carry to 2^prec leaves prec zeros to strip
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (sign, man, exp + zeros, man.bit_length())
+
+
+def _add(s_man: int, s_exp: int, t_man: int, t_exp: int) -> tuple[int, int]:
+    """s + t as (man, exp) for s = s_man * 2^s_exp and t = t_man * 2^t_exp,
+    nonzero mantissas of either sign and at most _PREC_BITS bits.  Exact,
+    except where the operand with the larger exponent exceeds the other by
+    more than prec + 4 bits of magnitude: there, as in libmp's mpf_add, the
+    other becomes one unit of its sign prec + 4 bits below the larger's
+    last bit, which rounds to the same prec bits as the exact sum."""
+    if s_exp < t_exp:
+        s_man, s_exp, t_man, t_exp = t_man, t_exp, s_man, s_exp
+    offset = s_exp - t_exp
+    if offset + s_man.bit_length() - t_man.bit_length() > _PREC_BITS + 4:
+        shift = _PREC_BITS + 4
+        return (s_man << shift) + (1 if t_man > 0 else -1), s_exp - shift
+    return (s_man << offset) + t_man, t_exp
+
+
 def _expm1(table: _PowerTable, n: int) -> tuple:
     """exp(y) - 1 for y = n * table.a rounded to nearest at _PREC_BITS bits,
     itself correctly rounded to nearest at _PREC_BITS bits."""
-    import mpmath
-
-    libmp = mpmath.libmp
-    rnd = libmp.round_nearest
+    if not n:
+        return _ZERO
     prec = _PREC_BITS
-    y = libmp.mpf_mul_int(table.a, n, prec, rnd)
-    if y == libmp.fzero:
-        return y
+    _, a_man, a_exp, _ = table.a
+    y = _round(1, a_man * n, a_exp)
     mag = y[2] + y[3]
     if mag < -(prec + 10):
-        return libmp.mpf_add(y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, rnd)
+        from mpmath import libmp
+
+        return libmp.mpf_add(
+            y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, libmp.round_nearest
+        )
     if mag > (prec + 4).bit_length():
-        return libmp.fnone  # y < -(prec + 4), so exp(y) < 2^-(prec+4)
+        return _MINUS_ONE  # y < -(prec + 4), so exp(y) < 2^-(prec+4)
     wp = prec + 35 + max(0, -mag)
     e = table.exp(n, y)
-    while (d := _exp_minus_one(e, wp, prec)) is None:
+    while (d := _exp_minus_one(e, wp)) is None:
+        from mpmath import libmp
+
         wp += wp - prec  # the guard bits left a rounding boundary in reach
-        e = libmp.mpf_exp(y, wp, rnd)
+        e = libmp.mpf_exp(y, wp, libmp.round_nearest)
     return d
 
 
-def _exp_minus_one(e: tuple, wp: int, prec: int) -> tuple | None:
-    """e - 1 rounded to nearest at prec bits, for e in (0, 1) within 2^-wp
-    of exp(y), as ``mpf_exp`` at wp bits or a power table gives it; None if
-    a rounding boundary lies within ``5 * 2^-wp`` of e - 1, where e's own
-    error could decide the rounding."""
-    import mpmath
-
-    libmp = mpmath.libmp
+def _exp_minus_one(e: tuple, wp: int) -> tuple | None:
+    """e - 1 rounded to nearest at _PREC_BITS bits, for e in (0, 1) within
+    2^-wp of exp(y), as ``mpf_exp`` at wp bits or a power table gives it;
+    None if a rounding boundary lies within ``5 * 2^-wp`` of e - 1, where
+    e's own error could decide the rounding."""
+    prec = _PREC_BITS
     _, man, exp, bc = e
     if exp + bc < -(prec + 3):
-        return libmp.fnone  # e < 2^-(prec+4): e - 1 rounds to -1
+        return _MINUS_ONE  # e < 2^-(prec+4): e - 1 rounds to -1
     if exp > -wp:
         man <<= exp + wp
         exp = -wp
@@ -306,7 +363,7 @@ def _exp_minus_one(e: tuple, wp: int, prec: int) -> tuple | None:
     # quarter ulp below a power-of-two kept part, lie at least 2^(drop-2) away.
     if shift + 5 > drop or abs((n & ((1 << drop) - 1)) - (1 << (drop - 1))) <= radius:
         return None
-    return libmp.from_man_exp(-n, exp, prec, libmp.round_nearest)
+    return _round(1, n, exp)
 
 
 def exact_falsification_prob(params: PathParams) -> mpf:
@@ -318,8 +375,8 @@ def exact_falsification_prob(params: PathParams) -> mpf:
     import mpmath
 
     _, _, table, _ = _width_terms(params.bits)
-    expm1 = _expm1(table, params.path_len + 1)
-    return mpmath.mp.make_mpf(mpmath.libmp.mpf_neg(expm1))
+    _, man, exp, bc = _expm1(table, params.path_len + 1)
+    return mpmath.mp.make_mpf((0, man, exp, bc))
 
 
 def exact_falsification_prob_float(params: PathParams) -> float:
@@ -385,11 +442,13 @@ def approx_falsification_prob(params: PathParams) -> mpf:
     """
     import mpmath
 
-    libmp = mpmath.libmp
-    rnd = libmp.round_nearest
-    x, exp_neg_x, _, table = _width_terms(params.bits)
-    folded = libmp.mpf_mul(exp_neg_x, _expm1(table, params.path_len), _PREC_BITS, rnd)
-    return mpmath.mp.make_mpf(libmp.mpf_sub(x, folded, _PREC_BITS, rnd))
+    x, (_, e_man, e_exp, _), _, table = _width_terms(params.bits)
+    _, d_man, d_exp, _ = _expm1(table, params.path_len)
+    if not d_man:
+        return mpmath.mp.make_mpf(x)  # m = 0: exp(-x) * expm1(0) is 0
+    # expm1(-m*x) < 0, so x - exp(-x) * expm1(-m*x) is x + |folded|
+    _, f_man, f_exp, _ = _round(0, e_man * d_man, e_exp + d_exp)
+    return mpmath.mp.make_mpf(_round(0, *_add(x[1], x[2], f_man, f_exp)))
 
 
 def approximation_error(params: PathParams) -> FalsificationEstimate:
@@ -405,13 +464,13 @@ def approximation_error(params: PathParams) -> FalsificationEstimate:
     """
     import mpmath
 
-    libmp = mpmath.libmp
     exact = exact_falsification_prob(params)
     approx = approx_falsification_prob(params)
-    diff = libmp.mpf_sub(approx._mpf_, exact._mpf_, _PREC_BITS, libmp.round_nearest)
-    return FalsificationEstimate(
-        params, exact, approx, mpmath.mp.make_mpf(libmp.mpf_abs(diff))
-    )
+    _, e_man, e_exp, _ = exact._mpf_
+    _, a_man, a_exp, _ = approx._mpf_
+    man, exp = _add(a_man, a_exp, -e_man, e_exp)
+    abs_diff = _round(0, abs(man), exp) if man else _ZERO
+    return FalsificationEstimate(params, exact, approx, mpmath.mp.make_mpf(abs_diff))
 
 
 def _cell_scores(exact: mpf, total: int, matches: int) -> tuple[float, float, float]:

@@ -153,6 +153,17 @@ def test_termsum_matches_per_term_fraction_sum(b, m):
     assert got.exact_rational == total
 
 
+def test_termsum_numerator_is_odd():
+    # Every term but the last carries a factor 2^(b(m-k)), and the last is
+    # (2^b - 1)^m, which is odd: the numerator is odd, so the sum never
+    # reduces and its denominator is 2^(b(m+1)) (ROADMAP item 9).
+    for b in range(1, 17):
+        for m in (*range(65), 1000, 4096):
+            got = exact_falsification_prob_termsum(PathParams(b, m)).exact_rational
+            assert got.denominator == 1 << b * (m + 1), (b, m)
+            assert got.numerator % 2 == 1, (b, m)
+
+
 def test_approx_m0_cancellation_exact():
     # At m = 0 both forms are 2^-b.  The exact form, -expm1(log1p(-x)),
     # inherits the rounding of log1p(-x) and lands one ulp off at some
@@ -375,6 +386,7 @@ def _with_examples(cells):
 
 
 @given(b=st.integers(min_value=1, max_value=300), m=st.integers(min_value=0, max_value=10**15))
+# m = 0: the approximation's expm1 is 0, and approx is x itself
 @example(b=1, m=0)
 @example(b=64, m=0)
 @example(b=1, m=10**18)
@@ -390,6 +402,13 @@ def _with_examples(cells):
 @example(b=255, m=10)
 @example(b=10**4, m=10**12)
 @example(b=10**6, m=1)
+# -m * x = -(2^250 - 1) * 2^-300 carries to -2^-50 when rounded
+@example(b=300, m=2**250 - 1)
+# x - folded with |folded| near 1 and x past prec + 4 bits below it; the
+# exponents lie 10^6, 300 and 57 apart, and mpf_add perturbs only past 100
+@example(b=10**6, m=2 ** (10**6 + 8))
+@example(b=300, m=2**320)
+@example(b=300, m=2**300)
 @_with_examples(NEAR_BOUNDARY_CELLS)
 # The exact form saturates at 1 from m = 243 (b = 1) and m = 587 (b = 2),
 # and its exp(y) falls below the -1 shortcut's 2^-247 from m = 246 (b = 1)
@@ -607,13 +626,92 @@ def test_integer_boundary_test_is_as_cautious_as_mpf_one(case):
     e, wp = case
     prec = probability._PREC_BITS
     rnd = libmp.round_nearest
-    got = probability._exp_minus_one(e, wp, prec)
+    got = probability._exp_minus_one(e, wp)
     if got is not None:
         assert got == _mpf_exp_minus_one(e, wp, prec) == libmp.mpf_sub(e, libmp.fone, prec, rnd)
     else:
         d = libmp.mpf_sub(e, libmp.fone)  # exact
         err = (0, 1, 3 - wp, 1)
         assert libmp.mpf_sub(d, err, prec, rnd) != libmp.mpf_add(d, err, prec, rnd)
+
+
+@st.composite
+def _mantissas(draw):
+    """(sign, man, exp) for probability._round: a mantissa already of at most
+    prec bits, or prec kept bits (all ones among them, which carry to 2^prec
+    when rounded up) over dropped bits at, beside or away from the tie; then
+    trailing zeros."""
+    prec = probability._PREC_BITS
+    if draw(st.booleans()):
+        man = draw(st.integers(1, (1 << prec) - 1))
+    else:
+        kept = draw(
+            st.sampled_from(((1 << prec) - 1, (1 << prec) - 2, 1 << (prec - 1)))
+            | st.integers(1 << (prec - 1), (1 << prec) - 1)
+        )
+        drop = draw(st.integers(1, 300))
+        half = 1 << (drop - 1)
+        low = draw(
+            st.sampled_from((0, 1, half - 1, half, half + 1, 2 * half - 1))
+            | st.integers(0, 2 * half - 1)
+        )
+        man = kept << drop | min(low, 2 * half - 1)
+    man <<= draw(st.integers(0, 70))
+    return draw(st.sampled_from((0, 1))), man, draw(st.integers(-(10**6), 10**6))
+
+
+@given(_mantissas())
+@example(case=(0, (1 << 250) - 1, -300))  # carries to 2^-50
+@example(case=(1, (1 << 244) - 1, 0))  # a tie, rounded up to even 2^244
+@example(case=(0, (1 << 244) - 3, 0))  # a tie, rounded down to even
+@example(case=(0, 1 << 400, 7))  # a lone 1 bit over 400 trailing zeros
+@settings(max_examples=500, deadline=None)
+def test_round_is_libmp_normalize(case):
+    sign, man, exp = case
+    want = libmp.from_man_exp(-man if sign else man, exp, probability._PREC_BITS, libmp.round_nearest)
+    assert probability._round(sign, man, exp) == want
+
+
+@st.composite
+def _addends(draw):
+    """Two nonzero raw tuples of at most prec bits, of either sign, with
+    exponents up to 3000 apart: near the prec + 4 bit gap past which _add
+    perturbs instead of adding, and near cancellation."""
+    prec = probability._PREC_BITS
+    s = libmp.from_man_exp(
+        draw(st.sampled_from((-1, 1))) * draw(st.integers(1, (1 << prec) - 1)),
+        draw(st.integers(-5000, 5000)),
+    )
+    kind = draw(st.sampled_from(("any", "near cancel", "near gap")))
+    if kind == "near cancel":
+        _, man, exp, _ = s
+        t_man = draw(st.integers(max(1, man - 8), min(man + 8, (1 << prec) - 1)))
+        sign = 1 - s[0] if draw(st.booleans()) else s[0]
+        return s, libmp.from_man_exp(-t_man if sign else t_man, exp)
+    t_man = draw(st.sampled_from((-1, 1))) * draw(
+        st.sampled_from((1, (1 << prec) - 1)) | st.integers(1, (1 << prec) - 1)
+    )
+    if kind == "near gap":
+        # magnitude of t about prec + 4 bits below s, either side
+        gap = prec + 4 + draw(st.integers(-3, 3))
+        exp = s[2] + s[3] - gap - abs(t_man).bit_length()
+    else:
+        exp = s[2] + draw(st.integers(-3000, 3000))
+    return s, libmp.from_man_exp(t_man, exp)
+
+
+@given(_addends())
+@settings(max_examples=500, deadline=None)
+def test_add_rounds_as_mpf_add(case):
+    # _add's sum, exact or perturbed, rounds to the tuple mpf_add gives.
+    s, t = case
+    s_man = -s[1] if s[0] else s[1]
+    t_man = -t[1] if t[0] else t[1]
+    man, exp = probability._add(s_man, s[2], t_man, t[2])
+    got = probability._round(int(man < 0), abs(man), exp) if man else probability._ZERO
+    rnd = libmp.round_nearest
+    assert got == libmp.mpf_add(s, t, probability._PREC_BITS, rnd)
+    assert got == libmp.mpf_add(t, s, probability._PREC_BITS, rnd)
 
 
 def test_bit_precision_matches_digits():
