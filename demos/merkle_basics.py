@@ -7,8 +7,8 @@ moment anything is tampered with, and ship a proof through JSON.
 """
 
 from merkle_falsify import (
-    Digest,
     HashSpec,
+    MerkleProof,
     SHA256,
     build_tree,
     generate_proof,
@@ -30,26 +30,29 @@ print("height       :", tree.height)
 for depth, level in enumerate(tree.levels):
     print(f"level {depth} size :", len(level) // spec.nbytes)
 
-# An authentication path lists, bottom-up, the sibling consumed at each
-# level and the side it occupies in the concatenation.
+# An authentication path is the leaf's index and, bottom-up, the raw bytes
+# of the sibling consumed at each level.  Sides are not stored: the sibling
+# at step k sits on the left exactly when bit k of the index is 1.
+# proof.steps is a view that shows each sibling as a Digest with its side.
 proof = generate_proof(tree, 3)
 print()
+print(f"leaf index   : {proof.leaf_index} = 0b{proof.leaf_index:b}, read low bit first")
 for step in proof.steps:
     print(f"sibling on the {step.side:5s}: {step.sibling.hex()[:16]}...")
 
 print("genuine block verifies   :", verify_proof(blocks[3], proof, tree.root, spec))
 print("substituted block        :", verify_proof(b"record-999", proof, tree.root, spec))
 
-# Corrupt one sibling digest: same path shape, wrong root.
-bad_first = proof.steps[0]
-flipped = Digest(
-    bytes([bad_first.sibling.data[0] ^ 0x01]) + bad_first.sibling.data[1:],
-    bad_first.sibling.bits,
-)
-tampered = proof_from_json(
-    proof_to_json(proof).replace(bad_first.sibling.hex(), flipped.hex())
-)
+# Corrupt one sibling: same path shape, wrong root.
+first = proof.siblings[0]
+flipped = bytes([first[0] ^ 0x01]) + first[1:]
+tampered = MerkleProof(proof.bits, proof.leaf_index, (flipped,) + proof.siblings[1:])
 print("tampered sibling         :", verify_proof(blocks[3], tampered, tree.root, spec))
+
+# The same siblings relabelled to leaf 2 fold at leaf 2: the sides follow
+# the index, so the genuine block no longer reaches the root.
+moved = MerkleProof(proof.bits, 2, proof.siblings)
+print("relabelled to leaf 2     :", verify_proof(blocks[3], moved, tree.root, spec))
 
 # Proofs survive a JSON round trip, e.g. handed to a remote verifier.
 wire = proof_to_json(proof)

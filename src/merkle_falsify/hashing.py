@@ -127,11 +127,29 @@ class Digest:
 
     @classmethod
     def from_hex(cls, text: str, bits: int) -> "Digest":
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError as exc:
-            raise ValueError(f"invalid hex digest {text!r}") from exc
-        return cls(raw, bits)
+        """The digest that ``text`` spells in exactly ``2 * ceil(bits / 8)``
+        hex digits, either case."""
+        _require_int("digest bits", bits, 1)
+        return cls(_hex_bytes(text, bits), bits)
+
+
+def _hex_bytes(text: str, bits: int) -> bytes:
+    """The ``ceil(bits / 8)`` bytes spelled by ``text``, which must be exactly
+    twice as many hex digits, in either case.
+
+    ``bytes.fromhex`` alone also skips ASCII whitespace, so its result is
+    accepted only if it has one byte per two characters of ``text``.
+    """
+    nb = (bits + 7) // 8
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        raw = b""
+    if len(text) != 2 * nb or len(raw) != nb:
+        raise ValueError(
+            f"invalid hex digest {text!r}: {bits} bits take exactly {2 * nb} hex digits"
+        )
+    return raw
 
 
 class OracleState:

@@ -10,18 +10,23 @@ once per call and hashes raw bytes: ``build_tree`` through its level form,
 which hashes a whole level into one buffer, and ``verify_proof`` through the
 per-call form.  A tree stores each level as one ``bytes`` buffer of the
 kernel's raw outputs laid end to end, so a node costs its ``spec.nbytes``
-bytes and no object of its own.  A :class:`Digest` is built only for a value
-that leaves the code: a tree's root and the siblings of a proof.
+bytes and no object of its own.  A proof does the same for its path: it
+holds its siblings as those raw bytes.  A :class:`Digest` is built only for
+a tree's root, and for the ``steps`` view of a proof when it is read.
 
-An authentication path (:class:`MerkleProof`) lists, bottom-up, the sibling
-digest consumed at each level together with the side that sibling occupies
-in the concatenation.  A proof is checked once, when it is built: its
-siblings are at its width, and its sides are the bits of its leaf's index,
-low bit first, so a proof cannot claim one leaf position while folding at
-another.  Verification then only rehashes the block, folds the siblings in
-order, and compares against the expected root.  A proof's JSON form is a
-fixed canonical text, byte-identical to ``json.dumps`` of the documented
-object (see ``proof_to_json``).
+An authentication path (:class:`MerkleProof`) is a leaf index and, bottom-up,
+the sibling bytes consumed at each level.  The side a sibling occupies in
+the concatenation is not stored: step ``k``'s sibling is on the left exactly
+when bit ``k`` of the leaf index is 1, so a proof cannot claim one leaf
+position while folding at another.  A proof is checked once, when it is
+built: its index fits its path and its siblings are at its width.
+Verification then only rehashes the block, folds the siblings in order, and
+compares against the expected root.  ``MerkleProof.steps`` shows the path as
+:class:`ProofStep` values, each sibling a validated :class:`Digest` with
+its side; nothing in this module reads it.  A proof's JSON form is a fixed
+canonical text, byte-identical to ``json.dumps`` of the documented object
+(see ``proof_to_json``), which writes each step's side out; parsing checks
+that the sides spell the leaf index.
 
 Known caveat: leaves are hashed payload bytes directly, with no
 domain-separation prefix distinguishing leaf hashing from internal-node
@@ -41,21 +46,23 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, _level_fn, _require_int, node_fn
+from .hashing import Digest, HashSpec, _hex_bytes, _level_fn, _require_int, node_fn
 
 LEFT = "left"
 RIGHT = "right"
+# A step's side, indexed by its bit of the leaf index.
+_SIDES = (RIGHT, LEFT)
 
 PROOF_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
 class ProofStep:
-    """One level of an authentication path.
+    """One level of an authentication path, as ``MerkleProof.steps`` shows it.
 
     ``side`` names where the sibling goes in the concatenation: ``"right"``
     means the running digest is the left operand (``H(current || sibling)``),
-    ``"left"`` the reverse.  :class:`MerkleProof` checks its steps.
+    ``"left"`` the reverse.
     """
 
     sibling: Digest
@@ -64,33 +71,53 @@ class ProofStep:
 
 @dataclass(frozen=True, slots=True)
 class MerkleProof:
-    """Authentication path for one leaf, bottom-up, checked when built.
+    """Authentication path for one leaf, checked when built.
 
-    Every sibling has ``bits`` bits, and the sides spell ``leaf_index``: step
-    ``k``'s sibling is on the left exactly when bit ``k`` is 1.
+    ``siblings`` holds, bottom-up, the raw bytes of the sibling consumed at
+    each level: ``ceil(bits / 8)`` bytes, left-aligned, pad bits zero, as in
+    ``Digest.data``.  Step ``k``'s sibling is on the left exactly when bit
+    ``k`` of ``leaf_index`` is 1, so the sides are read from the index and
+    a proof folds at the position it claims.  ``leaf_index`` must be below
+    ``2 ** len(siblings)``.
     """
 
     bits: int
     leaf_index: int
-    steps: tuple[ProofStep, ...]
+    siblings: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        _require_int("proof bits", self.bits, 1)
+        bits, siblings = self.bits, self.siblings
+        _require_int("proof bits", bits, 1)
         _require_int("proof leaf_index", self.leaf_index, 0)
-        spelled = 0
-        for k, step in enumerate(self.steps):
-            if step.side == LEFT:
-                spelled |= 1 << k
-            elif step.side != RIGHT:
-                raise ValueError(f"step {k} side must be 'left' or 'right', got {step.side!r}")
-            width = step.sibling.bits
-            if width != self.bits:
-                raise ValueError(f"step {k} sibling has {width} bits, the proof {self.bits}")
-        if spelled != self.leaf_index:
+        if type(siblings) is not tuple:
+            raise ValueError(f"proof siblings must be a tuple, got {type(siblings).__name__}")
+        if self.leaf_index >> len(siblings):
             raise ValueError(
-                f"proof sides spell leaf_index {spelled} over {len(self.steps)} steps, "
-                f"not the claimed {self.leaf_index}"
+                f"proof leaf_index {self.leaf_index} is past the "
+                f"{1 << len(siblings)} leaves of a {len(siblings)}-step path"
             )
+        nb = (bits + 7) // 8
+        pad = 0xFF >> bits % 8 if bits % 8 else 0
+        for k, sibling in enumerate(siblings):
+            if type(sibling) is not bytes or len(sibling) != nb or sibling[-1] & pad:
+                raise ValueError(
+                    f"step {k} sibling must be {nb} bytes with the pad bits below "
+                    f"{bits} bits zero, got {sibling!r}"
+                )
+
+    @property
+    def steps(self) -> tuple[ProofStep, ...]:
+        """The path as :class:`ProofStep` values, bottom-up, built on each
+        read: each sibling as a validated :class:`Digest`, its side read from
+        ``leaf_index``."""
+        bits, index = self.bits, self.leaf_index
+        # From a list, so the tuple is allocated at its final size: one grown
+        # from a generator is resized on the way, and the freed results pile
+        # up on the interpreter's tuple free list (up to 2000 per size).
+        return tuple([
+            ProofStep(Digest(sibling, bits), _SIDES[index >> k & 1])
+            for k, sibling in enumerate(self.siblings)
+        ])
 
 
 class MerkleTree:
@@ -100,8 +127,9 @@ class MerkleTree:
     with ``nb = spec.nbytes``, entry ``i`` of level ``k`` is
     ``levels[k][i * nb : (i + 1) * nb]``.  An entry is the kernel's raw
     output: ``nb`` bytes, left-aligned, pad bits zero -- the ``data`` of a
-    :class:`Digest` at ``spec.bits``, without the object.  ``root`` and
-    ``generate_proof`` slice out and wrap the few entries they hand out.
+    :class:`Digest` at ``spec.bits``, without the object.  ``root`` slices
+    out and wraps its one entry; ``generate_proof`` slices out a path's
+    siblings and hands them out as they are.
 
     ``levels[0]`` holds the leaf digests *after* any duplication padding;
     ``leaf_count`` is the number of original blocks, and the last level
@@ -148,16 +176,14 @@ def generate_proof(tree: MerkleTree, leaf_index: int) -> MerkleProof:
         _require_int("leaf index", leaf_index, 0, tree.leaf_count - 1)
     except ValueError as exc:
         raise IndexError(*exc.args) from None
-    bits = tree.spec.bits
     nb = tree.spec.nbytes
-    steps = []
+    siblings = []
     index = leaf_index
     for level in tree.levels[:-1]:
-        side = RIGHT if index % 2 == 0 else LEFT
         at = (index ^ 1) * nb
-        steps.append(ProofStep(Digest(level[at : at + nb], bits), side))
-        index //= 2
-    return MerkleProof(bits=bits, leaf_index=leaf_index, steps=tuple(steps))
+        siblings.append(level[at : at + nb])
+        index >>= 1
+    return MerkleProof(tree.spec.bits, leaf_index, tuple(siblings))
 
 
 def verify_proof(
@@ -166,9 +192,10 @@ def verify_proof(
     """Three-step check: hash the block, fold the path, compare to the root.
 
     The proof was checked once, when it was built (see :class:`MerkleProof`):
-    its sides spell its ``leaf_index`` and its siblings are at its width, so
-    verification only folds.  A proof or root not at ``spec.bits`` raises
-    ``ValueError`` -- a caller mistake, not a failed verification.
+    its siblings are at its width and its ``leaf_index`` fits its path, so
+    verification only folds, taking each side from the index.  A proof or
+    root not at ``spec.bits`` raises ``ValueError`` -- a caller mistake, not
+    a failed verification.
     """
     if proof.bits != spec.bits:
         raise ValueError(f"proof bits {proof.bits} do not match spec.bits {spec.bits}")
@@ -178,11 +205,13 @@ def verify_proof(
         )
     node = node_fn(spec)
     current = node(data)
-    for step in proof.steps:
-        if step.side == RIGHT:
-            current = node(current + step.sibling.data)
+    index = proof.leaf_index
+    for sibling in proof.siblings:
+        if index & 1:
+            current = node(sibling + current)
         else:
-            current = node(step.sibling.data + current)
+            current = node(current + sibling)
+        index >>= 1
     return current == expected_root.data
 
 
@@ -191,24 +220,30 @@ def proof_to_json(proof: MerkleProof) -> str:
 
     The text is exactly ``json.dumps`` of ``{"version": 1, "bits": ...,
     "leaf_index": ..., "steps": [{"sibling": <hex>, "side": <side>}, ...]}``,
-    written out directly.  A :class:`MerkleProof` holds only plain ``int``
-    fields, so they print as ``json.dumps`` prints them, and sides and hex
-    digits need no escaping.
+    written out directly, with step ``k``'s side read from bit ``k`` of
+    ``leaf_index``.  A :class:`MerkleProof` holds only plain ``int`` fields,
+    so they print as ``json.dumps`` prints them, and sides and hex digits
+    need no escaping.
     """
+    index = proof.leaf_index
     steps = ", ".join(
-        f'{{"sibling": "{step.sibling.data.hex()}", "side": "{step.side}"}}'
-        for step in proof.steps
+        f'{{"sibling": "{sibling.hex()}", "side": "{_SIDES[index >> k & 1]}"}}'
+        for k, sibling in enumerate(proof.siblings)
     )
     return (
         f'{{"version": {PROOF_VERSION}, "bits": {proof.bits}, '
-        f'"leaf_index": {proof.leaf_index}, "steps": [{steps}]}}'
+        f'"leaf_index": {index}, "steps": [{steps}]}}'
     )
 
 
 def proof_from_json(text: str) -> MerkleProof:
     """Parse a serialized proof; malformed JSON or an invalid proof raises ValueError.
 
-    JSON nested deeper than the parser's recursion limit counts as malformed.
+    Each sibling must be exactly ``2 * ceil(bits / 8)`` hex digits, in either
+    case, and the sides must be ``"left"`` or ``"right"`` and spell
+    ``leaf_index``: step ``k``'s side is ``"left"`` exactly when bit ``k`` is
+    1.  JSON nested deeper than the parser's recursion limit counts as
+    malformed.
     """
     try:
         obj = json.loads(text)
@@ -223,12 +258,25 @@ def proof_from_json(text: str) -> MerkleProof:
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):
         raise ValueError("proof steps must be a list")
-    steps = []
+    siblings = []
+    spelled = 0
     for k, raw in enumerate(raw_steps):
         if not isinstance(raw, dict):
             raise ValueError(f"step {k} must be an object")
         sibling = raw.get("sibling")
         if not isinstance(sibling, str):
             raise ValueError(f"step {k} sibling must be a hex string")
-        steps.append(ProofStep(Digest.from_hex(sibling, bits), raw.get("side")))
-    return MerkleProof(bits=bits, leaf_index=obj.get("leaf_index"), steps=tuple(steps))
+        siblings.append(_hex_bytes(sibling, bits))
+        side = raw.get("side")
+        if side == LEFT:
+            spelled |= 1 << k
+        elif side != RIGHT:
+            raise ValueError(f"step {k} side must be 'left' or 'right', got {side!r}")
+    leaf_index = obj.get("leaf_index")
+    _require_int("proof leaf_index", leaf_index, 0)
+    if spelled != leaf_index:
+        raise ValueError(
+            f"proof sides spell leaf_index {spelled} over {len(siblings)} steps, "
+            f"not the claimed {leaf_index}"
+        )
+    return MerkleProof(bits, leaf_index, tuple(siblings))

@@ -53,8 +53,9 @@ for the approximation, so ``y`` is never positive.  Below ``2^-(prec+10)``
 in magnitude it returns ``y + y^2/2``, as mpmath's ``expm1`` does.  From
 ``|y| = 2^8``, more than ``prec + 4``, it returns -1: ``exp(y)`` is below
 ``2^-(prec+4)``, so ``exp(y) - 1`` rounds to -1.  Otherwise it takes
-``e = exp(y)`` from the width's power table for ``a``, within ``2^-wp`` of
-the true value at ``wp = prec + 35 + max(0, -mag(y))``, and rounds
+``e = exp(y)`` from the width's power table for ``a`` (or, for an ``n``
+of more than ``_MAX_POWERS`` bits, from one ``mpf_exp``), within ``2^-wp``
+of the true value at ``wp = prec + 35 + max(0, -mag(y))``, and rounds
 ``e - 1`` once.
 
 A power table holds ``E_j = exp(2^j * a)`` for ``j = 0, 1, ...`` as
@@ -109,8 +110,10 @@ table over many path lengths pays, per width, one ``log1p`` and one ``exp``
 and one ``mpf_exp`` per power table, and, unless a rounding boundary is in
 reach, no exp per cell.  A table's length is at most the bit length of the
 longest ``n`` it has served, and, by the -1 above, at most ``9 - mag(a)``
-entries.  ``exp(-x)`` is ``mpf_exp(-x)`` at ``prec`` bits.  ``log1p(-x)``
-follows mpmath 1.3.0's ``log1p`` rule at ``prec + 10`` bits: below
+entries; an ``n`` of more than ``_MAX_POWERS`` = 60 bits takes ``exp(y)``
+from one ``mpf_exp`` at ``wp`` bits, as the retry does, so no table grows
+past 60 entries.  ``exp(-x)`` is ``mpf_exp(-x)`` at ``prec`` bits.
+``log1p(-x)`` follows mpmath 1.3.0's ``log1p`` rule at ``prec + 10`` bits: below
 ``2^-(prec+10)`` in magnitude, that is for ``b > 254``, it is
 ``-x - x^2/2``, which rounds to ``-x``; otherwise it is ``mpf_log`` of the
 exact ``1 - x``; either is then rounded to ``prec`` bits.  These are the
@@ -163,6 +166,13 @@ _SCORE_BITS = round((PRECISION_DPS + 1) * math.log2(10))
 
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
+# The most entries a power table holds; for an n of more bits, _expm1 takes
+# exp(y) from one mpf_exp at wp bits.  A table serves only |y| >= 2^-(prec+10),
+# so each entry has at most 2 * prec + 51 + _MAX_POWERS bits and a full table
+# about 4.5 KB.  At 60 entries a table's product costs about three mpf_exp
+# calls (37 against 13 us at b = 64, n = 2^64 - 1, on mpmath's pure-Python
+# backend); a path of up to 10^6 levels needs 20.
+_MAX_POWERS = _PREC_BITS // 4
 
 # Zero and -1 as raw mpf tuples: libmp's fzero and fnone.
 _ZERO = (0, 0, 0, 0)
@@ -330,7 +340,12 @@ def _expm1(table: _PowerTable, n: int) -> tuple:
     if mag > (prec + 4).bit_length():
         return _MINUS_ONE  # y < -(prec + 4), so exp(y) < 2^-(prec+4)
     wp = prec + 35 + max(0, -mag)
-    e = table.exp(n, y)
+    if n.bit_length() <= _MAX_POWERS:
+        e = table.exp(n, y)
+    else:
+        from mpmath import libmp
+
+        e = libmp.mpf_exp(y, wp, libmp.round_nearest)
     while (d := _exp_minus_one(e, wp)) is None:
         from mpmath import libmp
 

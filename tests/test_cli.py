@@ -310,6 +310,27 @@ def test_merkle_verify_relabelled_proof_is_bad_input(tmp_path, capsys):
     assert "proof sides spell leaf_index 0 over 1 steps, not the claimed 1" in captured.err
 
 
+def test_merkle_verify_root_hex_is_exact(tmp_path, capsys):
+    # --root must be exactly the root's hex digits, in either case: text
+    # with whitespace around or inside it is bad input (exit 2)
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_bytes(b"a\nb\n")
+    assert main(["merkle", "build", str(blocks), "--bits", "16"]) == 0
+    root = capsys.readouterr().out.strip()
+    proof = tmp_path / "proof.json"
+    assert main(["merkle", "prove", str(blocks), "--index", "1", "--bits", "16", "--output", str(proof)]) == 0
+    block = tmp_path / "d.txt"
+    block.write_bytes(b"b")
+    verify = ["merkle", "verify", "--block", str(block), "--proof", str(proof), "--root"]
+    assert main(verify + [root.upper()]) == 0
+    capsys.readouterr()
+    for loose in (f" {root}\t", f"{root[:2]} {root[2:]}"):
+        assert main(verify + [loose]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid hex digest {loose!r}: 16 bits take exactly 4 hex digits" in captured.err
+
+
 def test_figure_cli(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     assert main([

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -103,17 +104,14 @@ def test_tamper_matrix():
     broken = MerkleProof(
         bits=proof.bits,
         leaf_index=proof.leaf_index,
-        steps=(ProofStep(Digest(b"\x00" * 32, 256), proof.steps[0].side),)
-        + proof.steps[1:],
+        siblings=(b"\x00" * 32,) + proof.siblings[1:],
     )
     assert not verify_proof(FOUR_LEAF_BLOCKS[1], broken, root, SPEC256)
 
-    # flipped side: the sides no longer spell leaf_index, so no such proof
-    # exists; relabelled to the index they do spell, it builds and fails
-    swapped = (ProofStep(proof.steps[0].sibling, "right"),) + proof.steps[1:]
-    with pytest.raises(ValueError, match="spell leaf_index 0"):
-        MerkleProof(bits=proof.bits, leaf_index=proof.leaf_index, steps=swapped)
-    relabelled = MerkleProof(bits=proof.bits, leaf_index=0, steps=swapped)
+    # flipped side: a side is a bit of leaf_index, so flipping step 0's
+    # side is relabelling the proof to index 0; it builds and fails
+    relabelled = MerkleProof(bits=proof.bits, leaf_index=0, siblings=proof.siblings)
+    assert [s.side for s in relabelled.steps] == ["right", "right"]
     assert not verify_proof(FOUR_LEAF_BLOCKS[1], relabelled, root, SPEC256)
 
     # wrong root
@@ -122,16 +120,25 @@ def test_tamper_matrix():
 
 
 def test_relabelled_proof_rejected():
-    # the sides of leaf 1's proof spell index 1; a proof claiming another
-    # position with the same steps cannot be built
+    # a proof's sides are the bits of its leaf_index, so leaf 1's siblings
+    # relabelled to another position fold at that position: the steps spell
+    # the new index, and at 256 bits no block verifies against the root.
+    # An index past the path's leaves cannot be built.
     tree = build_tree(FOUR_LEAF_BLOCKS, SPEC256)
     proof = generate_proof(tree, 1)
     assert verify_proof(FOUR_LEAF_BLOCKS[1], proof, tree.root, SPEC256)
-    for claimed in (0, 2, 3, 5):
-        with pytest.raises(ValueError, match=f"spell leaf_index 1 over 2 steps.*{claimed}"):
-            MerkleProof(bits=proof.bits, leaf_index=claimed, steps=proof.steps)
+    for claimed in (0, 2, 3):
+        relabelled = MerkleProof(bits=proof.bits, leaf_index=claimed, siblings=proof.siblings)
+        spelled = sum(1 << k for k, s in enumerate(relabelled.steps) if s.side == "left")
+        assert spelled == claimed
+        assert [s.sibling.data for s in relabelled.steps] == list(proof.siblings)
+        for block in FOUR_LEAF_BLOCKS:
+            assert not verify_proof(block, relabelled, tree.root, SPEC256)
+    for claimed in (4, 5):
+        with pytest.raises(ValueError, match=f"leaf_index {claimed} is past the 4 leaves"):
+            MerkleProof(bits=proof.bits, leaf_index=claimed, siblings=proof.siblings)
     with pytest.raises(ValueError, match="proof leaf_index must be an integer >= 0"):
-        MerkleProof(bits=proof.bits, leaf_index=-1, steps=proof.steps)
+        MerkleProof(bits=proof.bits, leaf_index=-1, siblings=proof.siblings)
 
 
 def test_proof_roundtrip_small_trees():
@@ -151,7 +158,7 @@ def test_proof_length_is_padded_log2():
     for n in range(2, 34):
         tree = build_tree([bytes([i]) for i in range(n)], HashSpec(SHA256, 32))
         padded = len(tree.levels[0]) // tree.spec.nbytes
-        assert len(generate_proof(tree, 0).steps) == math.ceil(math.log2(padded))
+        assert len(generate_proof(tree, 0).siblings) == math.ceil(math.log2(padded))
 
 
 def test_levels_recompute():
@@ -181,8 +188,8 @@ def test_levels_recompute():
 @settings(max_examples=60, deadline=None)
 def test_levels_are_raw_kernel_bytes(blocks, bits):
     # each level is Digest.data of its entries back to back, without the
-    # objects; root and proof siblings are the only entries wrapped, and
-    # they wrap exactly the stored bytes
+    # objects; the root is the only entry wrapped, a proof holds its
+    # siblings as the stored bytes, and its steps wrap exactly those
     spec = HashSpec(SHA256, bits)
     tree = build_tree(blocks, spec)
     pad_mask = 0xFF >> bits % 8 if bits % 8 else 0
@@ -197,7 +204,8 @@ def test_levels_are_raw_kernel_bytes(blocks, bits):
         proof = generate_proof(tree, index)
         at = index
         for k, step in enumerate(proof.steps):
-            assert step.sibling == Digest(entries(tree.levels[k], spec)[at ^ 1], bits)
+            assert proof.siblings[k] == entries(tree.levels[k], spec)[at ^ 1]
+            assert step.sibling == Digest(proof.siblings[k], bits)
             at //= 2
         assert verify_proof(blocks[index], proof, tree.root, spec)
 
@@ -266,7 +274,7 @@ def test_node_payload_verifies_as_leaf():
     payload = leaves[0] + leaves[1]
     assert len(payload) == 64
     proof = generate_proof(tree, 0)
-    lifted = MerkleProof(bits=256, leaf_index=0, steps=proof.steps[1:])
+    lifted = MerkleProof(bits=256, leaf_index=0, siblings=proof.siblings[1:])
     assert verify_proof(payload, lifted, tree.root, SPEC256)
 
 
@@ -297,9 +305,21 @@ def test_verify_width_mismatch_raises():
         verify_proof(b"a", proof, tree.root, SPEC256)
     with pytest.raises(ValueError):
         verify_proof(b"a", proof, hash_bytes(b"r", SPEC256), spec8)
-    # a sibling at another width is refused when the proof is built
-    with pytest.raises(ValueError, match="step 0 sibling has 16 bits, the proof 8"):
-        MerkleProof(bits=8, leaf_index=0, steps=(ProofStep(Digest(b"\x00\x00", 16), "right"),))
+    # a sibling that is not the proof's width in bytes is refused when the
+    # proof is built, as are pad bits and a sibling that is not bytes
+    for bits, siblings in (
+        (8, (b"\x00\x00",)),
+        (4, (b"\xb0", b"\xb1")),
+        (8, (bytearray(1),)),
+        (8, (b"",)),
+    ):
+        k = len(siblings) - 1
+        nb = (bits + 7) // 8
+        message = f"step {k} sibling must be {nb} bytes with the pad bits below {bits} bits zero"
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {siblings[k]!r}")):
+            MerkleProof(bits=bits, leaf_index=0, siblings=siblings)
+    with pytest.raises(ValueError, match="proof siblings must be a tuple, got list"):
+        MerkleProof(bits=8, leaf_index=0, siblings=[b"\x00"])
 
 
 def test_fold_path_right_spine():
@@ -312,15 +332,15 @@ def test_fold_path_right_spine():
     assert all(s.side == "right" for s in proof.steps)
     node = node_fn(SPEC256)
     folded = node(blocks[0])
-    for step in proof.steps:
-        folded = node(folded + step.sibling.data)
+    for sibling in proof.siblings:
+        folded = node(folded + sibling)
     assert folded == tree.root.data
 
 
 def test_fold_path_frozen_vector():
     # leaf index 0: every sibling sits on the right
-    steps = tuple(ProofStep(hash_bytes(x, SPEC256), "right") for x in (b"s0", b"s1", b"s2"))
-    proof = MerkleProof(bits=256, leaf_index=0, steps=steps)
+    siblings = tuple(node_fn(SPEC256)(x) for x in (b"s0", b"s1", b"s2"))
+    proof = MerkleProof(bits=256, leaf_index=0, siblings=siblings)
     root = Digest.from_hex(FOLD3_ROOT_HEX, 256)
     assert verify_proof(b"seed", proof, root, SPEC256)
     assert not verify_proof(b"seeds", proof, root, SPEC256)
@@ -328,7 +348,7 @@ def test_fold_path_frozen_vector():
 
 def test_fold_path_empty_is_identity():
     # a zero-step path verifies exactly the leaf's own hash as the root
-    empty = MerkleProof(bits=256, leaf_index=0, steps=())
+    empty = MerkleProof(bits=256, leaf_index=0, siblings=())
     assert verify_proof(b"x", empty, hash_bytes(b"x", SPEC256), SPEC256)
     assert not verify_proof(b"x", empty, hash_bytes(b"y", SPEC256), SPEC256)
 
@@ -384,14 +404,10 @@ def test_proof_json_refuses_inexact_ints(bits, leaf_index):
     exact = type(bits) is int and bits >= 1 and type(leaf_index) is int and leaf_index >= 0
     if not exact:
         with pytest.raises(ValueError, match="must be an integer"):
-            MerkleProof(bits=bits, leaf_index=leaf_index, steps=())
+            MerkleProof(bits=bits, leaf_index=leaf_index, siblings=())
         return
-    sibling = Digest(bytes((bits + 7) // 8), bits)
-    steps = tuple(
-        ProofStep(sibling, "left" if leaf_index >> k & 1 else "right")
-        for k in range(leaf_index.bit_length())
-    )
-    proof = MerkleProof(bits=bits, leaf_index=leaf_index, steps=steps)
+    siblings = (bytes((bits + 7) // 8),) * leaf_index.bit_length()
+    proof = MerkleProof(bits=bits, leaf_index=leaf_index, siblings=siblings)
     assert proof_to_json(proof) == dumps_reference(proof)
 
 
@@ -402,18 +418,25 @@ def test_proof_json_refuses_inexact_ints(bits, leaf_index):
 )
 @settings(max_examples=60, deadline=None)
 def test_proof_contract_property(n, spec, data):
-    # a proof exists only at the leaf index its sides spell and with every
-    # sibling at its width, whether built directly or parsed from JSON
+    # a proof's sides are its leaf index's bits: relabelled within its path
+    # it spells the new index, and past its path it cannot be built.  JSON
+    # whose sides do not spell its leaf_index, and siblings not at the
+    # proof's width, are refused.
     blocks = [f"p{i}".encode() for i in range(n)]
     tree = build_tree(blocks, spec)
     index = data.draw(st.integers(min_value=0, max_value=n - 1))
     proof = generate_proof(tree, index)
-    steps = proof.steps
+    siblings = proof.siblings
+    steps = len(siblings)
 
-    for claimed in range(2 ** (len(steps) + 1)):
-        if claimed != index:
-            with pytest.raises(ValueError, match="spell leaf_index"):
-                MerkleProof(bits=spec.bits, leaf_index=claimed, steps=steps)
+    for claimed in range(2 ** (steps + 1)):
+        if claimed >> steps:
+            with pytest.raises(ValueError, match=f"leaf_index {claimed} is past the"):
+                MerkleProof(bits=spec.bits, leaf_index=claimed, siblings=siblings)
+        else:
+            relabelled = MerkleProof(bits=spec.bits, leaf_index=claimed, siblings=siblings)
+            sides = ["left" if claimed >> k & 1 else "right" for k in range(steps)]
+            assert [s.side for s in relabelled.steps] == sides
 
     text = proof_to_json(proof)
     assert proof_from_json(text) == proof
@@ -426,22 +449,32 @@ def test_proof_contract_property(n, spec, data):
         proof_from_json(json.dumps(obj))
     if not steps:
         return
-    k = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+    k = data.draw(st.integers(min_value=0, max_value=steps - 1))
     obj = json.loads(text)
     obj["steps"][k]["side"] = "left" if obj["steps"][k]["side"] == "right" else "right"
     with pytest.raises(ValueError, match="spell leaf_index"):
         proof_from_json(json.dumps(obj))
 
-    other = data.draw(st.sampled_from([1, 7, 12, 13, 256]).filter(lambda b: b != spec.bits))
-    odd = ProofStep(Digest(bytes((other + 7) // 8), other), steps[k].side)
-    with pytest.raises(ValueError, match=f"step {k} sibling has {other} bits"):
-        MerkleProof(bits=spec.bits, leaf_index=index, steps=steps[:k] + (odd,) + steps[k + 1 :])
+    nb = spec.nbytes
+    other = data.draw(st.sampled_from([1, 12, 24, 256]).filter(lambda b: (b + 7) // 8 != nb))
+    odd = bytes((other + 7) // 8)
+    with pytest.raises(ValueError, match=f"step {k} sibling must be {nb} bytes"):
+        MerkleProof(spec.bits, index, siblings[:k] + (odd,) + siblings[k + 1 :])
+    obj = json.loads(text)
+    obj["steps"][k]["sibling"] = odd.hex()
+    with pytest.raises(ValueError, match=f"invalid hex digest '{odd.hex()}'"):
+        proof_from_json(json.dumps(obj))
+    if spec.bits % 8:
+        padded = siblings[k][:-1] + bytes([siblings[k][-1] | 1])
+        with pytest.raises(ValueError, match=f"step {k} sibling must be {nb} bytes with the pad"):
+            MerkleProof(spec.bits, index, siblings[:k] + (padded,) + siblings[k + 1 :])
 
 
 def test_proof_classes_are_slotted_and_frozen():
     digest = Digest(b"\xb0", 4)
     step = ProofStep(digest, "left")
-    proof = MerkleProof(bits=4, leaf_index=1, steps=(step,))
+    proof = MerkleProof(bits=4, leaf_index=1, siblings=(digest.data,))
+    assert proof.steps == (step,)
     for obj, field in ((digest, "bits"), (step, "side"), (proof, "leaf_index")):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -474,6 +507,54 @@ def test_proof_json_malformed():
         proof_from_json("{not json")
     with pytest.raises(ValueError):
         proof_from_json("[1,2]")
+
+
+def test_hex_text_is_exact_digits():
+    # bytes.fromhex skips ASCII whitespace, so a sibling or root hex with
+    # whitespace in or around it would parse; only exactly 2 * nbytes hex
+    # digits are accepted, in either case
+    spec = HashSpec(SHA256, 12)
+    tree = build_tree(FOUR_LEAF_BLOCKS, spec)
+    proof = generate_proof(tree, 1)
+    text = proof_to_json(proof)
+    sibling = proof.siblings[0].hex()
+    for loose in (f"{sibling[:2]} \n{sibling[2:]}", f" {sibling}", f"{sibling}\t"):
+        bad = text.replace(f'"{sibling}"', json.dumps(loose), 1)
+        with pytest.raises(ValueError, match=re.escape(f"invalid hex digest {loose!r}")):
+            proof_from_json(bad)
+    assert proof_from_json(text.replace(sibling, sibling.upper())) == proof
+
+    root = tree.root.hex()
+    for loose in (f" {root}\t", f"{root[:2]} {root[2:]}", root + "00", root[:2]):
+        message = f"invalid hex digest {loose!r}: 12 bits take exactly 4 hex digits"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Digest.from_hex(loose, 12)
+    assert Digest.from_hex(root.upper(), 12) == tree.root
+    with pytest.raises(ValueError, match="digest bits must be an integer >= 1"):
+        Digest.from_hex(root, 0)
+
+
+def test_proof_path_builds_no_digest(monkeypatch):
+    # guard: proving, serializing, parsing and verifying handle siblings as
+    # raw bytes; only the root handed to verify_proof is a Digest
+    tree = build_tree([i.to_bytes(2, "big") for i in range(1 << 8)], SPEC256)
+    root = tree.root
+    calls = []
+    real = hashing.Digest.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(hashing.Digest, "__post_init__", counting)
+    for index in (0, 77, 255):
+        proof = generate_proof(tree, index)
+        back = proof_from_json(proof_to_json(proof))
+        assert back == proof
+        assert verify_proof(index.to_bytes(2, "big"), back, root, SPEC256)
+    assert len(calls) == 0
+    # the steps view builds one validated Digest per sibling
+    assert len(back.steps) == 8 and len(calls) == 8
 
 
 def test_ideal_oracle_tree():

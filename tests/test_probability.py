@@ -530,6 +530,15 @@ def test_width_caches_stay_bounded():
     for m in (300, 10**30):
         approximation_error(PathParams(1, m))
     assert [len(t.powers) for t in probability._width_terms(1)[2:]] == [9, 9]
+    # An n of more than _MAX_POWERS bits takes exp(y) from one mpf_exp: at
+    # (10^4, 2^(10^4 + 7)) a table would need 10^4 + 8 entries of 10^4 + 283
+    # bits each, and both stay empty; the value is the one the 500-digit
+    # expm1 gives.
+    assert probability._MAX_POWERS == 60
+    b, m = 10**4, 2 ** (10**4 + 7)
+    got = approximation_error(PathParams(b, m))
+    assert [len(t.powers) for t in probability._width_terms(b)[2:]] == [0, 0]
+    assert (got.exact, got.approx) == closed_forms_500(b, m)
 
 
 def test_power_tables_shared_between_threads():
