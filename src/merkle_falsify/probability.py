@@ -43,14 +43,17 @@ and ``mpf_sub`` give.  ``tests/test_probability.py`` pins that:
 ``test_round_is_libmp_normalize`` against ``from_man_exp``,
 ``test_add_rounds_as_mpf_add`` against ``mpf_add``, and
 ``test_closed_forms_are_correctly_rounded`` on whole cells.  ``libmp`` is
-still called for the per-width terms, for the ``mpf_exp`` retry near a
-rounding boundary and for the series below ``2^-(prec+10)``.
+still called for the per-width terms and for the ``mpf_exp`` retry near a
+rounding boundary.
 
 ``_expm1(table, n)`` serves both forms.  Its argument is ``y = n * a``
 rounded to nearest at ``prec`` = ``_PREC_BITS``: ``a = log1p(-2^-b)`` (as
 cached) and ``n = m + 1`` for the exact form, ``a = -2^-b`` and ``n = m``
 for the approximation, so ``y`` is never positive.  Below ``2^-(prec+10)``
-in magnitude it returns ``y + y^2/2``, as mpmath's ``expm1`` does.  From
+in magnitude it returns ``y`` itself.  mpmath's ``expm1`` returns
+``y + y^2/2`` there, but ``y^2/2 < 2^-(prec+11) * |y|`` is under a quarter
+ulp of ``y`` -- half an ulp of the binade below, where ``y`` is a power of
+two -- so that sum rounds back to ``y``.  From
 ``|y| = 2^8``, more than ``prec + 4``, it returns -1: ``exp(y)`` is below
 ``2^-(prec+4)``, so ``exp(y) - 1`` rounds to -1.  Otherwise it takes
 ``e = exp(y)`` from the width's power table for ``a`` (or, for an ``n``
@@ -58,13 +61,19 @@ of more than ``_MAX_POWERS`` bits, from one ``mpf_exp``), within ``2^-wp``
 of the true value at ``wp = prec + 35 + max(0, -mag(y))``, and rounds
 ``e - 1`` once.
 
-A power table holds ``E_j = exp(2^j * a)`` for ``j = 0, 1, ...`` as
-mantissas of ``W = prec + 41 - mag(a)`` bits with their exponents.
-``E_0`` is one ``mpf_exp`` at ``W`` bits, counted as within 2 ulps (it
-rounds an evaluation 14 bits longer); each further
-entry is the square of the last, truncated to ``W`` bits, and entries are
-added only as a longer ``n`` asks for them: a width whose arguments all
-take the series, as at ``b = 10^9``, never evaluates one.  ``exp(n * a)`` is the product
+A power table holds ``E_j = exp(2^j * a)`` for ``j`` below
+``min(_MAX_POWERS, 9 - mag(a))`` = ``min(60, 8 + b)`` as mantissas of
+``W = prec + 41 - mag(a)`` bits with their exponents.  ``E_0`` is one
+``mpf_exp`` at ``W`` bits, counted as within 2 ulps (it rounds an
+evaluation 14 bits longer); each further entry is the square of the last,
+truncated to ``W`` bits.  Those are all the entries ``_expm1`` can read: an
+``n`` of ``L`` bits gives ``mag(y) >= L + mag(a) - 1``, and from
+``mag(y) = 9`` the result is -1 without the table.  An ``n`` of at most
+``_MAX_POWERS`` bits gives ``mag(y) <= _MAX_POWERS + mag(a)``, so from
+``b = 315`` every such ``n`` takes the series and the width gets no table:
+without that cut, ``b = 10^9`` would need entries of ``10^9`` bits.
+``_expm1`` reads the table exactly when ``n`` has at most as many bits as
+it has entries.  ``exp(n * a)`` is the product
 of the entries for ``n``'s set bits, each partial product truncated to
 ``W`` bits or more.  With ``u = 2^(1-W)``, ``E_j`` is within
 ``(3 * 2^j - 1) * u`` of its value, relatively, and with
@@ -108,11 +117,12 @@ power tables of ``log1p(-x)`` and ``-x`` -- are made once per width and
 kept in a bounded ``lru_cache`` of ``_WIDTH_TERMS_CACHE`` entries.  A
 table over many path lengths pays, per width, one ``log1p`` and one ``exp``
 and one ``mpf_exp`` per power table, and, unless a rounding boundary is in
-reach, no exp per cell.  A table's length is at most the bit length of the
-longest ``n`` it has served, and, by the -1 above, at most ``9 - mag(a)``
-entries; an ``n`` of more than ``_MAX_POWERS`` = 60 bits takes ``exp(y)``
-from one ``mpf_exp`` at ``wp`` bits, as the retry does, so no table grows
-past 60 entries.  ``exp(-x)`` is ``mpf_exp(-x)`` at ``prec`` bits.
+reach, no exp per cell.  A table is made whole, as a tuple, before the
+cache holds it, and nothing changes it after: threads that share a width
+share only values, and two that make the same width at once make equal
+tables.  An ``n`` of more than ``_MAX_POWERS`` = 60 bits takes ``exp(y)``
+from one ``mpf_exp`` at ``wp`` bits, as the retry does.  ``exp(-x)`` is
+``mpf_exp(-x)`` at ``prec`` bits.
 ``log1p(-x)`` follows mpmath 1.3.0's ``log1p`` rule at ``prec + 10`` bits: below
 ``2^-(prec+10)`` in magnitude, that is for ``b > 254``, it is
 ``-x - x^2/2``, which rounds to ``-x``; otherwise it is ``mpf_log`` of the
@@ -122,11 +132,13 @@ tuples mpmath's ``log1p`` and ``exp`` return at 72 digits, made on
 uncached evaluation gives, in any thread and whatever precision a caller
 has set.
 
-``_cell_scores`` scores a simulated cell against the exact form on the same
-``libmp`` calls, at ``_SCORE_BITS`` = 216 bits, the binary precision of
-``PRECISION_DPS``: the operations and their order are those of mpmath's
-context arithmetic under ``workdps(PRECISION_DPS)``, so the three floats
-are the ones that arithmetic gives, without setting ``mp.prec``.  Every
+``_cell_scores`` scores a simulated cell against the exact form on
+``libmp`` calls rounded at ``_PREC_BITS``, like the closed forms, in the
+operations and order of mpmath's context arithmetic, without setting
+``mp.prec``.  Its three floats keep 53 of those bits; they are the ones
+that context arithmetic gives under ``workdps(PRECISION_DPS)``, at 216
+bits, on every cell ``tests/test_simulate.py`` draws, and scoring at 216
+bits changed none of 200 000 random cells' floats.  Every
 value this module returns is thus a pure function of its arguments, and
 the closed forms and cell scores may be called from several threads at
 once.
@@ -161,8 +173,6 @@ PRECISION_DPS = 64
 _GUARD_DPS = 8
 # The same precision in bits, as mpmath.libmp.dps_to_prec gives it (243).
 _PREC_BITS = round((PRECISION_DPS + _GUARD_DPS + 1) * math.log2(10))
-# PRECISION_DPS itself in bits (216), at which a simulated cell is scored.
-_SCORE_BITS = round((PRECISION_DPS + 1) * math.log2(10))
 
 # Distinct widths whose per-width terms are kept; a table rarely spans more.
 _WIDTH_TERMS_CACHE = 256
@@ -220,60 +230,56 @@ class FalsificationEstimate:
     abs_diff: mpf
 
 
-class _PowerTable:
-    """exp(2^j * a) for j = 0, 1, ..., for one ``a`` in (-1, 0), as
-    ``(man, exp)`` pairs with ``man`` of ``bits`` bits; entries are made as
-    multiples of ``a`` ask for them, the first by ``mpf_exp`` and the rest
-    by squaring."""
+def _powers(a: tuple) -> tuple[tuple[int, int], ...]:
+    """exp(2^j * a) for one ``a`` in (-1, 0) and j below
+    ``min(_MAX_POWERS, 9 - mag(a))``, as ``(man, exp)`` pairs with ``man``
+    of ``_PREC_BITS + 41 - mag(a)`` bits, the first by ``mpf_exp`` and the
+    rest by squaring; none where every n of at most ``_MAX_POWERS`` bits
+    puts ``n * a`` in ``_expm1``'s series."""
+    mag = a[2] + a[3]
+    if _MAX_POWERS + mag < -(_PREC_BITS + 10):
+        return ()
+    from mpmath import libmp
 
-    __slots__ = ("a", "bits", "powers")
+    bits = _PREC_BITS + 41 - mag
+    _, man, exp, bc = libmp.mpf_exp(a, bits, libmp.round_nearest)
+    powers = [(man << (bits - bc), exp - (bits - bc))]
+    # An n of more than 9 - mag bits puts mag(n * a) past
+    # (prec + 4).bit_length() = 8, where _expm1 returns -1.
+    for _ in range(min(_MAX_POWERS, 9 - mag) - 1):
+        man, exp = powers[-1]
+        man *= man
+        shift = man.bit_length() - bits
+        powers.append((man >> shift, 2 * exp + shift))
+    return tuple(powers)
 
-    def __init__(self, a: tuple) -> None:
-        self.a = a
-        self.bits = _PREC_BITS + 41 - (a[2] + a[3])
-        self.powers: list[tuple[int, int]] = []
 
-    def exp(self, n: int, y: tuple) -> tuple:
-        """exp(y) as a raw tuple, for n >= 1 and y = n * a rounded to nearest
-        at ``_PREC_BITS``: the entries for n's set bits times 1 + (y - n * a)."""
-        bits, powers = self.bits, self.powers
-        if len(powers) < n.bit_length():
-            # Extended in a copy and swapped in whole, so that a caller in
-            # another thread never reads an entry squared from a stale one.
-            powers = list(powers)
-            if not powers:
-                import mpmath
-
-                libmp = mpmath.libmp
-                _, man, exp, bc = libmp.mpf_exp(self.a, bits, libmp.round_nearest)
-                powers.append((man << (bits - bc), exp - (bits - bc)))
-            while len(powers) < n.bit_length():
-                man, exp = powers[-1]
-                man *= man
-                shift = man.bit_length() - bits
-                powers.append((man >> shift, 2 * exp + shift))
-            self.powers = powers
-        # Each entry is at least 2^(bits-1), so a product shifted right by
-        # bits - 1 is too: its mantissa grows by at most a bit per entry.
-        shift = bits - 1
-        man, exp = 1 << shift, -shift
-        for bit, (p_man, p_exp) in zip(bin(n)[:1:-1], powers):
-            if bit == "1":
-                man = man * p_man >> shift
-                exp += p_exp + shift
-        # y - n * a = d * 2^low, exactly (both are negative)
-        _, a_man, a_exp, _ = self.a
-        _, y_man, y_exp, _ = y
-        low = min(a_exp, y_exp)
-        d = (n * a_man << (a_exp - low)) - (y_man << (y_exp - low))
-        man += man * d >> -low
-        return (0, man, exp, man.bit_length())
+def _powers_exp(table: tuple, n: int, y: tuple) -> tuple:
+    """exp(y) as a raw tuple, for ``table`` = ``(a, powers)``,
+    1 <= n < 2^len(powers) and y = n * a rounded to nearest at
+    ``_PREC_BITS``: the entries for n's set bits times 1 + (y - n * a)."""
+    (_, a_man, a_exp, a_bc), powers = table
+    # Each entry's mantissa has W = prec + 41 - mag(a) bits, so a product
+    # shifted right by W - 1 is at least 2^(W-1) too: its mantissa grows by
+    # at most a bit per entry.
+    shift = _PREC_BITS + 40 - (a_exp + a_bc)
+    man, exp = 1 << shift, -shift
+    for bit, (p_man, p_exp) in zip(bin(n)[:1:-1], powers):
+        if bit == "1":
+            man = man * p_man >> shift
+            exp += p_exp + shift
+    # y - n * a = d * 2^low, exactly (both are negative)
+    _, y_man, y_exp, _ = y
+    low = min(a_exp, y_exp)
+    d = (n * a_man << (a_exp - low)) - (y_man << (y_exp - low))
+    man += man * d >> -low
+    return (0, man, exp, man.bit_length())
 
 
 @lru_cache(maxsize=_WIDTH_TERMS_CACHE)
-def _width_terms(bits: int) -> tuple[tuple, tuple, _PowerTable, _PowerTable]:
+def _width_terms(bits: int) -> tuple[tuple, tuple, tuple, tuple]:
     """(x, exp(-x)) for x = 2^-bits as raw mpf tuples at the formulas'
-    precision, and the power tables of log1p(-x) and -x."""
+    precision, and ``(a, _powers(a))`` for a = log1p(-x) and for a = -x."""
     from mpmath import libmp
 
     rnd = libmp.round_nearest
@@ -286,7 +292,8 @@ def _width_terms(bits: int) -> tuple[tuple, tuple, _PowerTable, _PowerTable]:
     else:
         log = libmp.mpf_log(libmp.mpf_sub(libmp.fone, x), _PREC_BITS + 10, rnd)
         log1p = libmp.mpf_pos(log, _PREC_BITS, rnd)
-    return x, libmp.mpf_exp(neg_x, _PREC_BITS, rnd), _PowerTable(log1p), _PowerTable(neg_x)
+    exp_neg_x = libmp.mpf_exp(neg_x, _PREC_BITS, rnd)
+    return x, exp_neg_x, (log1p, _powers(log1p)), (neg_x, _powers(neg_x))
 
 
 def _round(sign: int, man: int, exp: int) -> tuple:
@@ -322,26 +329,21 @@ def _add(s_man: int, s_exp: int, t_man: int, t_exp: int) -> tuple[int, int]:
     return (s_man << offset) + t_man, t_exp
 
 
-def _expm1(table: _PowerTable, n: int) -> tuple:
-    """exp(y) - 1 for y = n * table.a rounded to nearest at _PREC_BITS bits,
-    itself correctly rounded to nearest at _PREC_BITS bits."""
-    if not n:
-        return _ZERO
+def _expm1(table: tuple, n: int) -> tuple:
+    """exp(y) - 1, correctly rounded to nearest at _PREC_BITS bits, for
+    ``table`` = ``(a, _powers(a))``, n >= 1 and y = n * a rounded to nearest
+    at _PREC_BITS bits."""
     prec = _PREC_BITS
-    _, a_man, a_exp, _ = table.a
-    y = _round(1, a_man * n, a_exp)
+    a, powers = table
+    y = _round(1, a[1] * n, a[2])
     mag = y[2] + y[3]
     if mag < -(prec + 10):
-        from mpmath import libmp
-
-        return libmp.mpf_add(
-            y, libmp.mpf_shift(libmp.mpf_mul(y, y), -1), prec, libmp.round_nearest
-        )
+        return y  # y^2/2 is below a quarter ulp of y
     if mag > (prec + 4).bit_length():
         return _MINUS_ONE  # y < -(prec + 4), so exp(y) < 2^-(prec+4)
     wp = prec + 35 + max(0, -mag)
-    if n.bit_length() <= _MAX_POWERS:
-        e = table.exp(n, y)
+    if n.bit_length() <= len(powers):
+        e = _powers_exp(table, n, y)
     else:
         from mpmath import libmp
 
@@ -385,11 +387,13 @@ def exact_falsification_prob(params: PathParams) -> mpf:
     """Exact match probability 1 - (1 - 2^-b)^(m+1).
 
     Evaluated as -expm1((m+1) * log1p(-2^-b)) so no precision is lost when
-    2^-b underflows ordinary doubles.
+    2^-b underflows ordinary doubles.  At m = 0 it is 2^-b itself.
     """
     import mpmath
 
-    _, _, table, _ = _width_terms(params.bits)
+    x, _, table, _ = _width_terms(params.bits)
+    if not params.path_len:
+        return mpmath.mp.make_mpf(x)  # 1 - (1 - x) is x
     _, man, exp, bc = _expm1(table, params.path_len + 1)
     return mpmath.mp.make_mpf((0, man, exp, bc))
 
@@ -458,9 +462,9 @@ def approx_falsification_prob(params: PathParams) -> mpf:
     import mpmath
 
     x, (_, e_man, e_exp, _), _, table = _width_terms(params.bits)
+    if not params.path_len:
+        return mpmath.mp.make_mpf(x)  # exp(-x) * expm1(0) is 0
     _, d_man, d_exp, _ = _expm1(table, params.path_len)
-    if not d_man:
-        return mpmath.mp.make_mpf(x)  # m = 0: exp(-x) * expm1(0) is 0
     # expm1(-m*x) < 0, so x - exp(-x) * expm1(-m*x) is x + |folded|
     _, f_man, f_exp, _ = _round(0, e_man * d_man, e_exp + d_exp)
     return mpmath.mp.make_mpf(_round(0, *_add(x[1], x[2], f_man, f_exp)))
@@ -470,11 +474,11 @@ def approximation_error(params: PathParams) -> FalsificationEstimate:
     """Exact and approximate values side by side with |approx - exact|.
 
     ``abs_diff`` is the difference of the two returned 243-bit values,
-    rounded to 243 bits.  The two share about their first ``b * log10(2)``
-    digits, so at wide widths the difference keeps few correct digits: its
-    17 printed digits first go wrong at b = 242, 239, 236 and 229 for
-    m = 1, 10, 1000 and 10^6 (ROADMAP item 1, defect B), and at (256, 10)
-    it reads 0.  ``tests/test_probability.py`` pins that as the strict
+    rounded to 243 bits; at m = 0 both are 2^-b and it is 0.  The two share
+    about their first ``b * log10(2)`` digits, so at wide widths the
+    difference keeps few correct digits: its 17 printed digits first go
+    wrong at b = 242, 239, 236 and 229 for m = 1, 10, 1000 and 10^6 (ROADMAP
+    item 1, defect B), and at (256, 10) it reads 0.  ``tests/test_probability.py`` pins that as the strict
     xfail ``test_gap_keeps_its_digits_at_256_bits``.
     """
     import mpmath
@@ -492,11 +496,11 @@ def _cell_scores(exact: mpf, total: int, matches: int) -> tuple[float, float, fl
     """(P, std_error, z) as floats for ``matches`` of ``total`` trials
     against P = ``exact``: std_error = sqrt(P(1 - P) / total) and
     z = (matches / total - P) / std_error, each step rounded to nearest at
-    ``_SCORE_BITS``.  Where std_error is 0, z is 0 if every trial matched
+    ``_PREC_BITS``.  Where std_error is 0, z is 0 if every trial matched
     and -inf otherwise."""
     from mpmath import libmp
 
-    prec, rnd = _SCORE_BITS, libmp.round_nearest
+    prec, rnd = _PREC_BITS, libmp.round_nearest
     p, n = exact._mpf_, libmp.from_int(total)
     var = libmp.mpf_mul(p, libmp.mpf_sub(libmp.fone, p, prec, rnd), prec, rnd)
     std_error = libmp.mpf_sqrt(libmp.mpf_div(var, n, prec, rnd), prec, rnd)

@@ -147,8 +147,8 @@ class CellResult:
     exact_p is the closed form P at (bits, path_len), std_error is
     sqrt(P(1 - P) / total_trials) and z_score is
     (matches / total_trials - P) / std_error.  Each step is rounded to
-    nearest at 216 bits, the binary precision of ``PRECISION_DPS``, on
-    mpmath's ``libmp`` tuples, and no mpmath context is read or written.
+    nearest at 243 bits, the closed forms' own precision, on mpmath's
+    ``libmp`` tuples, and no mpmath context is read or written.
 
     std_error is 0 only where the closed form's P rounds to 1.  There
     z is 0 if every trial matched and -inf otherwise, so a saturated cell with

@@ -37,6 +37,12 @@ def test_prob_diff(capsys):
     assert float(out) == pytest.approx(0.00710805789680180, rel=1e-10)
 
 
+def test_prob_diff_m0(capsys):
+    # both forms are 2^-64 exactly, so their difference is 0
+    assert main(["prob", "diff", "--bits", "64", "--path-len", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "0.0"
+
+
 def test_prob_approx(capsys):
     assert main(["prob", "approx", "--bits", "2", "--path-len", "1000"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.02880078307, rel=1e-10)

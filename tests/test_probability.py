@@ -42,9 +42,11 @@ def closed_form_rational(b: int, m: int) -> Fraction:
 def closed_forms_500(b: int, m: int) -> tuple[mpf, mpf]:
     """(exact, approx) from the formulas' own 243-bit per-width terms and
     expm1 arguments, with each expm1 taken at 500 digits and the result of
-    every step rounded to the formulas' precision."""
+    every step rounded to the formulas' precision.  At m = 0 both are 2^-b."""
     with mpmath.workdps(probability.PRECISION_DPS + probability._GUARD_DPS):
         x = mpf(2) ** -b
+        if not m:
+            return x, x
         y_exact = (m + 1) * mpmath.log1p(-x)
         y_approx = -m * x
         exp_neg_x = mpmath.exp(-x)
@@ -165,13 +167,12 @@ def test_termsum_numerator_is_odd():
 
 
 def test_approx_m0_cancellation_exact():
-    # At m = 0 both forms are 2^-b.  The exact form, -expm1(log1p(-x)),
-    # inherits the rounding of log1p(-x) and lands one ulp off at some
-    # widths (b = 5, 32, 64 among them), so it is held to that ulp.
+    # At m = 0 both forms are 2^-b exactly, at every width, and their
+    # difference is exactly 0.
     for b in range(1, 257):
         cell = approximation_error(PathParams(b, 0))
-        assert cell.approx == mpf(2) ** -b
-        assert cell.abs_diff <= cell.approx * mpf(2) ** -probability._PREC_BITS
+        assert cell.exact._mpf_ == cell.approx._mpf_ == (0, 1, -b, 1), b
+        assert cell.abs_diff._mpf_ == libmp.fzero, b
 
 
 def test_approx_2_10():
@@ -469,75 +470,142 @@ def test_expm1_retries_only_where_a_boundary_is_in_reach(monkeypatch):
     # twice the guard bits decides it.
     prec = probability._PREC_BITS
     for b, m in NEAR_BOUNDARY_CELLS:
-        approximation_error(PathParams(b, 1))  # starts both tables
+        approximation_error(PathParams(b, 1))  # builds both tables
         calls.clear()
         got = approximation_error(PathParams(b, m))
         assert len(calls) == 1 and calls[0] - prec >= 2 * 35, (b, m, calls)
         assert (got.exact, got.approx) == closed_forms_500(b, m)
 
 
-@given(
-    b=st.integers(min_value=1, max_value=300),
-    n=st.integers(min_value=1, max_value=2**66),
-    table_index=st.sampled_from((2, 3)),
-)
-@example(b=1, n=10**20 + 1, table_index=2)  # (b, m) = (1, 10^20), exact form
-@example(b=1, n=10**20, table_index=3)  # and the approximation
-@example(b=1, n=2**64 - 1, table_index=2)
-@example(b=32, n=2**64, table_index=3)
-@example(b=300, n=2**64 + 1, table_index=2)
-@settings(max_examples=100, deadline=None)
-def test_power_table_exp_is_within_its_radius(b, n, table_index):
-    # exp(n * a) from a width's table lies within relative 3 * 2^(L+1-bits)
-    # of mpf_exp at twice the table's precision, L = n.bit_length().  With
-    # n * a rounded to the formulas' precision, wherever _expm1 takes the
-    # table's exp(y), that lies within 2^-wp of exp(y), at the wp _expm1
-    # hands to _exp_minus_one.
+def _assert_power_table_exp_within_radius(b: int, n: int, table_index: int) -> None:
+    """exp(n * a) from a width's table lies within relative
+    3 * 2^(L+1-W) of mpf_exp at twice the table's W bits, L = n.bit_length().
+    With n * a rounded to the formulas' precision, wherever _expm1 takes the
+    table's exp(y), that lies within 2^-wp of exp(y), at the wp _expm1 hands
+    to _exp_minus_one."""
     table = probability._width_terms(b)[table_index]
+    a, powers = table
+    assert 1 <= n.bit_length() <= len(powers)
     prec, rnd = probability._PREC_BITS, libmp.round_nearest
+    bits = prec + 41 - (a[2] + a[3])
 
     def error(y):
-        want = libmp.mpf_exp(y, 2 * table.bits, rnd)
-        return want, libmp.mpf_abs(libmp.mpf_sub(table.exp(n, y), want))
+        want = libmp.mpf_exp(y, 2 * bits, rnd)
+        return want, libmp.mpf_abs(libmp.mpf_sub(probability._powers_exp(table, n, y), want))
 
-    na = libmp.mpf_mul(table.a, libmp.from_int(n))  # exact
+    na = libmp.mpf_mul(a, libmp.from_int(n))  # exact
     want, err = error(na)
-    radius = libmp.mpf_shift(libmp.mpf_mul(want, libmp.from_int(3)), n.bit_length() + 1 - table.bits)
-    assert libmp.mpf_le(err, radius)
-    y = libmp.mpf_mul_int(table.a, n, prec, rnd)
+    radius = libmp.mpf_shift(libmp.mpf_mul(want, libmp.from_int(3)), n.bit_length() + 1 - bits)
+    assert libmp.mpf_le(err, radius), (b, n, table_index)
+    y = libmp.mpf_mul_int(a, n, prec, rnd)
     mag = y[2] + y[3]
     if -(prec + 10) <= mag <= (prec + 4).bit_length():
         _, err = error(y)
-        assert libmp.mpf_le(err, libmp.from_man_exp(1, -(prec + 35 + max(0, -mag))))
+        assert libmp.mpf_le(err, libmp.from_man_exp(1, -(prec + 35 + max(0, -mag)))), (b, n)
+
+
+@given(
+    b=st.integers(min_value=1, max_value=314),
+    length=st.integers(min_value=1, max_value=probability._MAX_POWERS),
+    low=st.integers(min_value=0, max_value=2**59 - 1),
+    table_index=st.sampled_from((2, 3)),
+)
+# the longest n each table admits: 9 bits at b = 1, 60 from b = 52 to 314
+@example(b=1, length=9, low=2**59 - 1, table_index=2)
+@example(b=1, length=9, low=2**59 - 1, table_index=3)
+@example(b=52, length=60, low=2**59 - 1, table_index=2)
+@example(b=314, length=60, low=2**59 - 1, table_index=3)
+@example(b=314, length=60, low=0, table_index=2)
+@settings(max_examples=100, deadline=None)
+def test_power_table_exp_is_within_its_radius(b, length, low, table_index):
+    # n has as many bits as length and the table allow, the lower ones from low
+    length = min(length, len(probability._width_terms(b)[table_index][1]))
+    n = 1 << (length - 1) | low & ((1 << (length - 1)) - 1)
+    _assert_power_table_exp_within_radius(b, n, table_index)
+
+
+def test_power_table_exp_at_every_entry_count():
+    # every number of entries a product can read, 1 to 60, at its largest
+    # and smallest n, at the first width whose tables hold 60
+    for length in range(1, probability._MAX_POWERS + 1):
+        for n in ((1 << length) - 1, 1 << (length - 1)):
+            for table_index in (2, 3):
+                _assert_power_table_exp_within_radius(52, n, table_index)
+
+
+# The last width with power tables: from b = 315 an n of at most
+# _MAX_POWERS = 60 bits keeps |n * a| below 2^-(prec+10), in _expm1's series.
+LAST_TABLE_BITS = probability._PREC_BITS + 11 + probability._MAX_POWERS
+
+
+def test_power_tables_hold_what_expm1_can_read():
+    # A table holds min(_MAX_POWERS, 9 - mag(a)) = min(60, 8 + b) entries of
+    # W = prec + 41 - mag(a) bits: an n of more bits gives |n * a| >= 2^8,
+    # where expm1 is -1 without the table.  Past LAST_TABLE_BITS no n of at
+    # most 60 bits leaves the series, and the width has no table.
+    assert LAST_TABLE_BITS == 314
+    prec = probability._PREC_BITS
+    for b in range(1, 331):
+        for a, powers in probability._width_terms(b)[2:]:
+            assert isinstance(powers, tuple)
+            assert len(powers) == (min(60, 8 + b) if b <= LAST_TABLE_BITS else 0), b
+            bits = prec + 41 - (a[2] + a[3])
+            assert all(man.bit_length() == bits for man, _ in powers), b
+    # at b = 1 no table needs more than 9 entries, however long the path
+    for m in (300, 10**30):
+        got = approximation_error(PathParams(1, m))
+        assert (got.exact, got.approx) == closed_forms_500(1, m)
+
+
+def test_cells_where_a_table_is_first_reached():
+    # |n * a| first reaches 2^-(prec+10), where the series ends, at
+    # n = 2^(b-254): n = m + 1 for the exact form and n = m for the
+    # approximation.  Up to b = 314 the table serves it, and beyond that
+    # one mpf_exp does.
+    for b in range(300, 321):
+        k = b - 254
+        for m in (2**k - 2, 2**k - 1, 2**k, 2**k + 1):
+            got = approximation_error(PathParams(b, m))
+            assert (got.exact, got.approx) == closed_forms_500(b, m), (b, m)
+
+
+def test_expm1_series_returns_y():
+    # Below 2^-(prec+10), y^2/2 < 2^-(prec+11) * |y| is under a quarter ulp
+    # of y, so mpmath's y + y^2/2 rounds back to y, and y is expm1(y)
+    # correctly rounded.  A power of two, where the ulp below y is half the
+    # one above, and an all-ones mantissa are the tightest cases.
+    prec, rnd = probability._PREC_BITS, libmp.round_nearest
+    for b in (255, 256, 300, 400, 497, 1000, 10**4, 10**5):
+        top = b - 254  # n < 2^top keeps |n * 2^-b| below 2^-(prec+10)
+        ones = min(top, prec)
+        for table in probability._width_terms(b)[2:]:
+            for n in (1, 1 << (top - 1), ((1 << ones) - 1) << (top - ones)):
+                y = libmp.mpf_mul_int(table[0], n, prec, rnd)
+                assert y[2] + y[3] < -(prec + 10), (b, n)
+                assert probability._expm1(table, n) == y, (b, n)
+                y_sq_half = libmp.mpf_shift(libmp.mpf_mul(y, y), -1)
+                assert libmp.mpf_add(y, y_sq_half, prec, rnd) == y, (b, n)
+                with mpmath.workdps(500):
+                    true = mpmath.expm1(mpmath.mp.make_mpf(y))
+                assert libmp.mpf_pos(true._mpf_, prec, rnd) == y, (b, n)
 
 
 def test_width_caches_stay_bounded():
     # After 300 distinct widths the per-width terms and tables are kept for
-    # at most _WIDTH_TERMS_CACHE widths, and a table holds no more entries
-    # than the bit length of the longest multiple it has served.
+    # at most _WIDTH_TERMS_CACHE widths.
     probability._width_terms.cache_clear()
-    path_len = {b: 1000 * b for b in range(1, 301)}
-    for b, m in path_len.items():
-        approximation_error(PathParams(b, m))
+    for b in range(1, 301):
+        approximation_error(PathParams(b, 1000 * b))
     cached = probability._width_terms.cache_info().currsize
     assert cached <= probability._WIDTH_TERMS_CACHE < 300
-    for b in range(301 - cached, 301):
-        _, _, exact, approx = probability._width_terms(b)
-        assert len(exact.powers) <= (path_len[b] + 1).bit_length()
-        assert len(approx.powers) <= path_len[b].bit_length()
-    # Past |y| = 2^8 the expm1 is -1 without the table, so at b = 1 no table
-    # grows past the 9 entries that m = 300 needs, however long the path.
-    for m in (300, 10**30):
-        approximation_error(PathParams(1, m))
-    assert [len(t.powers) for t in probability._width_terms(1)[2:]] == [9, 9]
     # An n of more than _MAX_POWERS bits takes exp(y) from one mpf_exp: at
     # (10^4, 2^(10^4 + 7)) a table would need 10^4 + 8 entries of 10^4 + 283
-    # bits each, and both stay empty; the value is the one the 500-digit
-    # expm1 gives.
+    # bits each, and the width has none; the value is the one the
+    # 500-digit expm1 gives.
     assert probability._MAX_POWERS == 60
     b, m = 10**4, 2 ** (10**4 + 7)
     got = approximation_error(PathParams(b, m))
-    assert [len(t.powers) for t in probability._width_terms(b)[2:]] == [0, 0]
+    assert [len(powers) for _, powers in probability._width_terms(b)[2:]] == [0, 0]
     assert (got.exact, got.approx) == closed_forms_500(b, m)
 
 
