@@ -33,12 +33,12 @@ for depth, level in enumerate(tree.levels):
 # An authentication path is the leaf's index and, bottom-up, the raw bytes
 # of the sibling consumed at each level.  Sides are not stored: the sibling
 # at step k sits on the left exactly when bit k of the index is 1.
-# proof.steps is a view that shows each sibling as a Digest with its side.
 proof = generate_proof(tree, 3)
 print()
 print(f"leaf index   : {proof.leaf_index} = 0b{proof.leaf_index:b}, read low bit first")
-for step in proof.steps:
-    print(f"sibling on the {step.side:5s}: {step.sibling.hex()[:16]}...")
+for k, sibling in enumerate(proof.siblings):
+    side = "left" if proof.leaf_index >> k & 1 else "right"
+    print(f"sibling on the {side:5s}: {sibling.hex()[:16]}...")
 
 print("genuine block verifies   :", verify_proof(blocks[3], proof, tree.root, spec))
 print("substituted block        :", verify_proof(b"record-999", proof, tree.root, spec))

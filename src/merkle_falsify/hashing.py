@@ -10,9 +10,14 @@ Two hash backends share one interface:
   ``seed || input``, so a repeated query returns the same digest and nothing
   is cached: every value is reproducible from the spec alone.
 
-Truncated digests are carried as :class:`Digest` values: ``ceil(bits / 8)``
-bytes, left-aligned, with the unused low-order bits of the final byte forced
-to zero.
+Every ``bits``-bit value in the package -- a kernel output, a stored tree
+node, a proof sibling, a :class:`Digest`'s data -- is ``ceil(bits / 8)``
+bytes, left-aligned, and its pad bits, the low ``(8 - bits % 8) % 8`` bits
+of the last byte, are zero.  That pad rule is stated once, as
+``_PAD_MASKS``; the kernels' masks and shifts and ``HashSpec.last_byte_mask``
+derive from it, and a :class:`Digest` and a ``MerkleProof`` sibling accept
+exactly the same values (``bytes`` itself, no subclass), refusing the rest
+in the same words.
 
 Every node hash in the package goes through ``hashing``: a per-call form
 and a level form that share one mask table per width.
@@ -69,6 +74,21 @@ def _require_int(name: str, value, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+# The pad rule: the last byte of a b-bit value keeps b % 8 high bits, and its
+# low (8 - b % 8) % 8 bits, the pad bits, are zero.  These are the pad bits'
+# masks, indexed by b % 8; every other form of the rule is derived from them.
+_PAD_MASKS = tuple((1 << -rem % 8) - 1 for rem in range(8))
+
+
+def _width_error(name: str, bits: int, data) -> ValueError:
+    """The error for a ``bits``-bit value ``data`` that is not ``ceil(bits / 8)``
+    bytes (``bytes`` itself, no subclass) with its pad bits zero."""
+    return ValueError(
+        f"{name} must be {(bits + 7) // 8} bytes with the pad bits below "
+        f"{bits} bits zero, got {data!r}"
+    )
+
+
 @dataclass(frozen=True)
 class HashSpec:
     """Hash configuration: which backend, how many output bits to keep, and
@@ -94,8 +114,7 @@ class HashSpec:
     @property
     def last_byte_mask(self) -> int:
         """Bitmask for the final digest byte (high bits kept, pad bits zero)."""
-        rem = self.bits % 8
-        return 0xFF if rem == 0 else (0xFF << (8 - rem)) & 0xFF
+        return 0xFF ^ _PAD_MASKS[self.bits % 8]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,17 +129,13 @@ class Digest:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            raise ValueError(f"digest data must be bytes, got {type(self.data).__name__}")
-        _require_int("digest bits", self.bits, 1)
-        if len(self.data) != (self.bits + 7) // 8:
-            raise ValueError(
-                f"digest of {self.bits} bits needs {(self.bits + 7) // 8} bytes, "
-                f"got {len(self.data)}"
-            )
-        rem = self.bits % 8
-        if rem and self.data[-1] & (0xFF >> rem):
-            raise ValueError("pad bits below the kept width must be zero")
+        data, bits = self.data, self.bits
+        _require_int("digest bits", bits, 1)
+        # The same condition as a MerkleProof sibling's, written out here
+        # because a helper call would cost more than the check.
+        pad = _PAD_MASKS[bits % 8]
+        if type(data) is not bytes or len(data) != (bits + 7) // 8 or pad and data[-1] & pad:
+            raise _width_error("digest data", bits, data)
 
     def hex(self) -> str:
         return self.data.hex()
@@ -180,15 +195,9 @@ class OracleState:
         return _low64(_sha256(self._prefix + data).digest(), 24)[0]
 
 
-def _mask_table(rem: int) -> bytes:
-    """The kept last byte of a ``bits % 8 == rem`` digest, indexed by its raw value."""
-    mask = HashSpec(SHA256, rem).last_byte_mask
-    return bytes(v & mask for v in range(256))
-
-
 # One ``bytes.translate`` table per width that does not fill its last byte,
-# keyed by bits % 8.
-_MASKS = {rem: _mask_table(rem) for rem in range(1, 8)}
+# keyed by bits % 8: the kept last byte, indexed by its raw value.
+_MASKS = {rem: bytes(v & ~pad for v in range(256)) for rem, pad in enumerate(_PAD_MASKS) if pad}
 # The same tables cut into one-byte slices, for the per-call form.  One-byte
 # slices are the interpreter's shared single-byte objects, so these hold no
 # bytes objects of their own.
@@ -212,7 +221,7 @@ def node_fn(spec: HashSpec) -> Callable[[bytes], bytes]:
     if spec.algorithm == IDEAL:
         value64 = OracleState(spec.seed).value64
         bitmask = (1 << spec.bits) - 1
-        pad = (8 - spec.bits % 8) % 8
+        pad = _PAD_MASKS[spec.bits % 8].bit_length()
         return lambda x: ((value64(x) & bitmask) << pad).to_bytes(nb, "big")
     sha = _sha256
     if spec.bits % 8 == 0:

@@ -46,7 +46,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hashing import Digest, HashSpec, _hex_bytes, _level_fn, _require_int, node_fn
+from .hashing import _PAD_MASKS, Digest, HashSpec, _hex_bytes, _level_fn, _require_int
+from .hashing import _width_error, node_fn
 
 LEFT = "left"
 RIGHT = "right"
@@ -97,13 +98,10 @@ class MerkleProof:
                 f"{1 << len(siblings)} leaves of a {len(siblings)}-step path"
             )
         nb = (bits + 7) // 8
-        pad = 0xFF >> bits % 8 if bits % 8 else 0
+        pad = _PAD_MASKS[bits % 8]
         for k, sibling in enumerate(siblings):
-            if type(sibling) is not bytes or len(sibling) != nb or sibling[-1] & pad:
-                raise ValueError(
-                    f"step {k} sibling must be {nb} bytes with the pad bits below "
-                    f"{bits} bits zero, got {sibling!r}"
-                )
+            if type(sibling) is not bytes or len(sibling) != nb or pad and sibling[-1] & pad:
+                raise _width_error(f"step {k} sibling", bits, sibling)
 
     @property
     def steps(self) -> tuple[ProofStep, ...]:

@@ -40,7 +40,10 @@ either the generator or the draw order changes.  The path bytes are the
 first trials * m * width bytes of the stream, byte o being byte o % 8
 (little-endian) of 64-bit output o // 8 -- the bytes ``Generator.bytes``
 would return -- and memory stays bounded by one window of them whatever
-trials and m are.
+trials and m are.  A window holds whole path elements: it starts at a
+multiple of ``lcm(width, 8)`` stream bytes, a whole number of both elements
+and 64-bit outputs, and holds as many such units as fit in 4 KiB.  So no
+element spans two windows, and the stream is only ever read forward.
 
 Imports: the package imports this module, but only ``simulate`` runs
 experiments, so it loads neither numpy nor mpmath at import.
@@ -60,6 +63,7 @@ loads numpy; ``merkle`` builds, proofs and verification load neither.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import string
 from dataclasses import dataclass, field
@@ -88,10 +92,9 @@ MAX_DRAW_BYTES = 64 * 10**6
 # Width of a wide path element; matches the full SHA-256 digest.
 WIDE_SIBLING_BYTES = 32
 
-# Path bytes are read from the stream in windows of this many 64-bit
-# outputs (4 KiB), enough for 128 wide levels per refill.
-_WINDOW_WORDS = 512
-_WINDOW_BYTES = 8 * _WINDOW_WORDS
+# Path bytes are read from the stream in windows of at most this many bytes
+# (4 KiB, 128 wide levels), cut to a whole number of path elements.
+_WINDOW_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -251,10 +254,15 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     sub_data = codes[sub_idx]
 
     # Lockstep fold; the first coincidence decides the trial (see the module
-    # docstring for why stopping there is exact).  ``window`` holds stream
-    # bytes lo..hi, and ``paths`` sits at output hi // 8.
+    # docstring for why stopping there is exact).  Windows start at a
+    # multiple of ``unit`` stream bytes, a whole number of both path elements
+    # and 64-bit outputs, and are a whole number of units long, so no element
+    # crosses a window's edge.  ``window`` holds stream bytes
+    # lo .. lo + len(window), and ``paths`` sits just past them.
+    unit = math.lcm(width, 8)
+    size = _WINDOW_BYTES - _WINDOW_BYTES % unit
     window = b""
-    lo = hi = 0
+    lo = 0
     matches = 0
     stride = m * width
     for t in range(trials):
@@ -263,17 +271,14 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
         start = t * stride
         end = start + stride
         while genuine != forged and start < end:
-            if start + width > hi:
-                lo = start - start % 8
-                paths.advance(lo // 8 - hi // 8)  # backwards is exact too
-                window = _read_window(paths, lo, width, mask)
-                hi = lo + _WINDOW_BYTES
-            # Fold the levels whose elements lie wholly in the window.  The
-            # inner loop makes no refill test, so a level costs no more
-            # than with the whole path in memory.  The range is never empty:
-            # the refill test leaves this trial's next element in the window.
-            stop = min(end, hi - width + 1) - lo
-            for i in range(start - lo, stop, width):
+            if start >= lo + len(window):
+                paths.advance((start - start % unit - lo - len(window)) // 8)
+                lo = start - start % unit
+                window = _read_window(paths, size, width, mask)
+            # Fold this trial's levels in the window.  The inner loop makes
+            # no refill test, so a level costs no more than with the whole
+            # path in memory.
+            for i in range(start - lo, min(end - lo, size), width):
                 s = window[i : i + width]
                 genuine = node(genuine + s)
                 forged = node(forged + s)
@@ -284,15 +289,15 @@ def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
     return matches
 
 
-def _read_window(paths: np.random.BitGenerator, lo: int, width: int, mask: int) -> bytes:
-    """The next _WINDOW_BYTES stream bytes, which start at stream byte ``lo``.
+def _read_window(paths: np.random.BitGenerator, size: int, width: int, mask: int) -> bytes:
+    """The next ``size`` stream bytes, a whole number of ``width``-byte path
+    elements that starts on an element's first byte.
 
-    ``mask`` is applied to the last byte of every ``width``-byte path element
-    in the window; elements start at stream byte 0.
+    ``mask`` is applied to the last byte of every element in the window.
     """
-    raw = paths.random_raw(_WINDOW_WORDS).astype("<u8", copy=False).view("u1")
+    raw = paths.random_raw(size // 8).astype("<u8", copy=False).view("u1")
     if mask != 0xFF:
-        raw[(width - 1 - lo) % width :: width] &= mask
+        raw[width - 1 :: width] &= mask
     return raw.tobytes()
 
 

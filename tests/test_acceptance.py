@@ -23,7 +23,8 @@ from merkle_falsify.probability import (
     exact_falsification_prob,
     exact_falsification_prob_termsum,
 )
-from merkle_falsify.simulate import ExperimentConfig, _usable_cpus, build_grid, run_grid
+from merkle_falsify import simulate
+from merkle_falsify.simulate import CellResult, ExperimentConfig, _usable_cpus, build_grid, run_grid
 import test_merkle as merkle_suite
 
 from frozen_values import REFERENCE_DIFFS
@@ -97,21 +98,33 @@ def test_criterion_3_termsum_identity_suite():
     )
 
 
-def test_criterion_4_statistical_replay_sha256():
-    start = time.perf_counter()
+def _criterion_4_grid() -> list[ExperimentConfig]:
+    """Criterion 4's sha256 cells: b in {2,4,6,8} x m in {10,50}, then the
+    saturated (2, 1000) cell last."""
     grid = build_grid(
         [2, 4, 6, 8], [10, 50],
         trials_per_experiment=1000, num_experiments=100, master_seed=0,
     )
-    cells = run_grid(grid, workers=1)
-    [long_cell] = run_grid(
-        [
-            ExperimentConfig(
-                bits=2, path_len=1000,
-                trials_per_experiment=1000, num_experiments=10, master_seed=0,
-            )
-        ]
+    return grid + [
+        ExperimentConfig(
+            bits=2, path_len=1000,
+            trials_per_experiment=1000, num_experiments=10, master_seed=0,
+        )
+    ]
+
+
+def _criterion_5_grid() -> list[ExperimentConfig]:
+    """Criterion 5's ideal-oracle cells: b in {1,2,4} x m in {0,1,10}."""
+    return build_grid(
+        [1, 2, 4], [0, 1, 10],
+        trials_per_experiment=1000, num_experiments=100,
+        oracle_kind="ideal", master_seed=0,
     )
+
+
+def test_criterion_4_statistical_replay_sha256():
+    start = time.perf_counter()
+    *cells, long_cell = run_grid(_criterion_4_grid(), workers=1)
     elapsed = time.perf_counter() - start
 
     by_cell = _by_cell(cells)
@@ -137,12 +150,7 @@ def test_criterion_4_statistical_replay_sha256():
 
 def test_criterion_5_random_oracle_exactness():
     start = time.perf_counter()
-    grid = build_grid(
-        [1, 2, 4], [0, 1, 10],
-        trials_per_experiment=1000, num_experiments=100,
-        oracle_kind="ideal", master_seed=0,
-    )
-    cells = run_grid(grid, workers=1)
+    cells = run_grid(_criterion_5_grid(), workers=1)
     elapsed = time.perf_counter() - start
     worst = max(abs(c.z_score) for c in cells)
     _gate(
@@ -151,6 +159,75 @@ def test_criterion_5_random_oracle_exactness():
         worst <= 5.0 and elapsed < 30.0,
         f"max|z|={worst:.2f}, {elapsed:.0f}s",
     )
+
+
+# Simulator faults, each as the cell a faulty simulator would run in place
+# of (bits, path_len).
+_FAULTS = {
+    "folds m - 1 levels": lambda b, m: (b, m - 1),
+    "folds m + 1 levels": lambda b, m: (b, m + 1),
+    "kernel keeps b - 1 bits": lambda b, m: (b - 1, m),
+    "kernel keeps b + 1 bits": lambda b, m: (b + 1, m),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_gates_see_named_faults(fault):
+    # Criteria 4 and 5 each fail at least one cell under each fault.  No
+    # simulation runs: a cell is scored at the match count the faulty
+    # simulator expects, round(T * P_fault), against the true P.  A cell
+    # the fault has no counterpart for (m - 1 at m = 0, b - 1 at b = 1) is
+    # skipped.
+    for criterion, grid in ((4, _criterion_4_grid()), (5, _criterion_5_grid())):
+        worst = 0.0
+        failed = 0
+        for config in grid:
+            bits, path_len = _FAULTS[fault](config.bits, config.path_len)
+            if bits < 1 or path_len < 0:
+                continue
+            p_fault = float(exact_falsification_prob(PathParams(bits, path_len)))
+            T = config.total_trials
+            cell = CellResult(config.bits, config.path_len, T, round(T * p_fault), 0)
+            worst = max(worst, abs(cell.z_score))
+            failed += not cell.passed
+        assert failed, (criterion, fault, worst)
+
+
+def test_acceptance_seeds_are_distinct(monkeypatch):
+    # Within each of the criteria 4 and 5 grids, every seed run_experiment
+    # derives, draw seeds and ideal-oracle seeds alike, is distinct, so no
+    # two experiments of one gate share a stream.  The experiments stop when
+    # they bind the kernel, after both seeds are derived and before any draw.
+    derived = []
+    real = simulate._derive_seed
+
+    def derive(tag, *key):
+        derived.append(real(tag, *key))
+        return derived[-1]
+
+    class Bound(Exception):
+        pass
+
+    def stop(spec):
+        raise Bound
+
+    monkeypatch.setattr(simulate, "_derive_seed", derive)
+    monkeypatch.setattr(simulate, "node_fn", stop)
+    seeds = []
+    for grid in (_criterion_4_grid(), _criterion_5_grid()):
+        derived.clear()
+        for config in grid:
+            for k in range(config.num_experiments):
+                with pytest.raises(Bound):
+                    simulate.run_experiment(config, k)
+        assert len(set(derived)) == len(derived)
+        seeds.append(set(derived))
+    # one seed per sha256 experiment, two per ideal one
+    assert [len(s) for s in seeds] == [810, 1800]
+    # The seed text names no oracle, so the cells both grids hold, (2, 10)
+    # and (4, 10), draw the same data and paths in both, each under its own
+    # kernel.
+    assert len(seeds[0] & seeds[1]) == 200
 
 
 def test_criterion_6_merkle_property_suite():

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,81 @@ def test_oracle_uniformity_b4():
     sigma = (100_000 * (1 / 16) * (15 / 16)) ** 0.5
     for c in counts:
         assert abs(c - expect) <= 5 * sigma
+
+
+# Two-sided size of the collision test's accepted interval: the mass
+# outside |z| <= 5 of a normal law, the simulator's own gate.
+ALPHA = math.erfc(5 / math.sqrt(2))
+
+
+def _collision_law(n: int, m: int) -> list[float]:
+    """P(C = c) for c = 0, 1, ..., where C = n minus the number of distinct
+    values among n independent uniform draws from m >= n values.
+
+    The exact law (Knuth, TAOCP Vol. 2, 3.3.2): n draws from m values take
+    exactly n - c of them with probability S(n, n - c) * m^(n - c falling)
+    / m^n.  The Stirling number comes from second-order Eulerian numbers,
+    S(n, n - c) = sum_k <<c, k>> * C(n + c - 1 - k, 2c) (Concrete
+    Mathematics, eq. 6.43), in exact integers; only the logarithms are
+    floats, so each term is good to about 1e-12 relative.  The list ends
+    past the mode where a term drops below 1e-20, with the mass it leaves
+    out far below that.
+    """
+    log_m = math.log(m)
+    log_falling = math.fsum(math.log1p(-j / m) for j in range(n))  # c = 0
+    row = [1]  # <<c, k>> for k = 0 .. max(c - 1, 0)
+    law = []
+    for c in range(n):
+        if c:
+            prev = [0, *row, 0]
+            row = [(k + 1) * prev[k + 1] + (2 * c - 1 - k) * prev[k] for k in range(c)]
+            log_falling -= math.log1p(-(n - c) / m)
+        stirling = sum(e * math.comb(n + c - 1 - k, 2 * c) for k, e in enumerate(row))
+        law.append(math.exp(math.log(stirling) + log_falling - c * log_m))
+        if c and law[-1] < min(1e-20, law[-2]):
+            break
+    return law
+
+
+def _accepted(law: list[float]) -> tuple[int, int]:
+    """The counts c whose two-sided tail, the smaller tail doubled, is above
+    ALPHA, as (lowest, highest)."""
+    accepted = []
+    below = 0.0  # P(C < c)
+    for c, p in enumerate(law):
+        if 2 * min(below + p, 1 - below) > ALPHA:
+            accepted.append(c)
+        below += p
+    assert abs(below - 1) < 1e-12, below
+    return accepted[0], accepted[-1]
+
+
+@pytest.mark.parametrize(
+    "bits, n, accepted",
+    [
+        # n inputs give lambda = C(n, 2) / 2^b colliding pairs on average:
+        (17, 1 << 12, (28, 106)),  # lambda = 63.98
+        (24, 1 << 15, (8, 64)),  # lambda = 32.00
+        (30, 1 << 17, (0, 26)),  # lambda = 8.00
+        (32, 1 << 18, (0, 26)),  # lambda = 8.00
+    ],
+)
+def test_kernel_collision_count(bits, n, accepted):
+    # Knuth's collision test of the per-level term: two distinct fold
+    # inputs agree at b bits with probability 2^-b.  n distinct inputs of a
+    # fold's shape (a b-bit node, then a 32-byte sibling) go through the
+    # kernel, and the count of collisions, n minus the distinct outputs,
+    # must lie in the interval the exact law accepts at ALPHA.  It equals
+    # the colliding-pair count unless three inputs share an output.  A
+    # fold cell would need about 2^b trials per match at these widths.
+    assert _accepted(_collision_law(n, 1 << bits)) == accepted
+    for spec in (HashSpec(SHA256, bits), HashSpec(IDEAL, bits, seed=1)):
+        node = node_fn(spec)
+        prefix = node(b"")
+        outputs = Counter(map(node, (prefix + i.to_bytes(32, "big") for i in range(n))))
+        collisions = n - len(outputs)
+        pairs = sum(k * (k - 1) // 2 for k in outputs.values())
+        assert accepted[0] <= collisions <= accepted[1], (spec, collisions, pairs)
 
 
 def test_hash_concat_ideal_pad_invariant():

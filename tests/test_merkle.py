@@ -322,6 +322,44 @@ def test_verify_width_mismatch_raises():
         MerkleProof(bits=8, leaf_index=0, siblings=[b"\x00"])
 
 
+class _Bytes(bytes):
+    """A ``bytes`` subclass, which neither a digest nor a sibling accepts."""
+
+
+def _refusal(make) -> str | None:
+    """The ValueError text ``make()`` raises, or None if it returns."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(bits=st.integers(min_value=1, max_value=300), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_digest_and_sibling_share_one_width_rule(bits, data):
+    # a Digest's data and a proof sibling are the same b-bit value, so they
+    # are accepted by one rule and refused in the same words: exactly
+    # ceil(b / 8) bytes, of type bytes itself, with the low (8 - b % 8) % 8
+    # bits of the last byte zero
+    nb = (bits + 7) // 8
+    size = data.draw(st.integers(min_value=max(0, nb - 1), max_value=nb + 1))
+    raw = bytearray(data.draw(st.binary(min_size=size, max_size=size)))
+    pad = 8 * nb - bits
+    if raw and data.draw(st.booleans()):
+        raw[-1] = raw[-1] >> pad << pad
+    kind = data.draw(st.sampled_from([bytes, _Bytes, bytearray]))
+    value = kind(raw)
+    digest = _refusal(lambda: Digest(value, bits))
+    sibling = _refusal(lambda: MerkleProof(bits, 0, (value,)))
+    valid = kind is bytes and size == nb and raw[-1] % (1 << pad) == 0
+    assert (digest is None) == (sibling is None) == valid
+    if not valid:
+        assert digest.startswith("digest data must be ")
+        assert sibling.startswith("step 0 sibling must be ")
+        assert digest.removeprefix("digest data") == sibling.removeprefix("step 0 sibling")
+
+
 def test_fold_path_right_spine():
     # proof for index 0 of a complete tree has all siblings on the right,
     # so the bare fold current || sibling -- the simulator's path model --
@@ -502,6 +540,14 @@ def test_proof_json_malformed():
         obj = json.loads(json.dumps(good))
         mangle(obj)
         with pytest.raises(ValueError):
+            proof_from_json(json.dumps(obj))
+    for mangle, message in (
+        (lambda o: o.update(steps=[1]), "step 0 must be an object"),
+        (lambda o: o["steps"][0].update(sibling=1), "step 0 sibling must be a hex string"),
+    ):
+        obj = json.loads(json.dumps(good))
+        mangle(obj)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             proof_from_json(json.dumps(obj))
     with pytest.raises(ValueError):
         proof_from_json("{not json")

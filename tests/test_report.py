@@ -334,6 +334,7 @@ def test_read_simulation_csv_messages():
         (f"{big}\n{body}\n", "row 0 is not valid CSV: field larger than field limit (131072)"),
         (f"{header}\n{body}\n{big}\n", "row 2 is not valid CSV: field larger than field limit (131072)"),
         (f"{header}\n\n1,2\n", "row 2 has 2 fields, want 9"),
+        (f"{header}\nx{body[1:]}\n", "row 1 is not numeric: invalid literal for int() with base 10: 'x'"),
         (f"{header}\n{body.replace('20', '0', 1)}\n", "row 1 total_trials must be an integer >= 1, got 0"),
         (f"{header}\n{body.replace('8', '21', 1)}\n", "row 1 matches must be an integer in 0..20, got 21"),
         (f"{header}\n257{body[1:]}\n", "row 1 bits must be an integer in 1..256, got 257"),
@@ -396,6 +397,11 @@ def test_render_handles_zero_empirical():
     assert cell.matches == 0
     svg = render_figure(read_simulation_csv(ReportTable.from_simulation([cell]).to_csv()))
     assert svg.count('class="marker"') == 1
+    ET.fromstring(svg)
+    # a cell whose every plotted value is 1 still gets a decade of axis
+    svg = render_figure([CellResult(1, 1000, 100, 100, 0)])
+    assert svg.count('class="marker"') == 1
+    assert ">1e-1</text>" in svg and ">1</text>" in svg
     ET.fromstring(svg)
 
 

@@ -262,13 +262,18 @@ def test_lockstep_fold_matches_full_fold(oracle_kind, bits, path_len, sibling_mo
         (SHA256, WIDE, 16, 300),
         (IDEAL, WIDE, 20, 300),
         (SHA256, TRUNCATED, 12, 2100),  # 2-byte elements
-        (SHA256, TRUNCATED, 20, 1400),  # 3-byte elements straddle window edges
+        (SHA256, TRUNCATED, 20, 1400),  # 3-byte elements: windows of 4080 bytes
         (IDEAL, TRUNCATED, 44, 800),  # 6-byte elements
+        (SHA256, TRUNCATED, 40, 900),  # 5-byte elements: windows of 40-byte units
+        (SHA256, TRUNCATED, 56, 640),  # 7-byte elements: windows of 56-byte units
+        (SHA256, TRUNCATED, 248, 140),  # 31-byte elements: windows of 248-byte units
     ],
 )
 def test_path_windows_refill_mid_trial(oracle_kind, sibling_mode, bits, path_len):
     # Each trial's path outgrows one read window, and at these widths the
     # chains almost never meet, so every trial reads across window edges.
+    # A window holds whole elements, lcm(width, 8) bytes at a time, so at
+    # widths that are not a power of two it ends short of 4 KiB.
     cfg = ExperimentConfig(
         bits=bits, path_len=path_len, trials_per_experiment=8, num_experiments=1,
         oracle_kind=oracle_kind, sibling_mode=sibling_mode, master_seed=bits * path_len,
