@@ -7,6 +7,11 @@ newline-delimited block files), figure (SVG chart from a simulation CSV).
 Exit codes: 0 success, 1 operational failure (verification mismatch, cell
 beyond 5 sigma, unwritable output), 2 usage or malformed input.
 
+A run is given wholly by its command line: no environment variable is read,
+and the seed is ``--seed`` or its default.  ``simulate``'s defaults and legal
+values are ``ExperimentConfig``'s field defaults and the library's tuples,
+and ``merkle``'s ``--bits`` defaults to ``HashSpec``'s.
+
 The argument parser is built once per process, on the first ``main`` call
 (``build_parser`` is cached), not at import and not on every call.  Its
 ``set_defaults(func=...)`` binds each ``cmd_*`` function at that first
@@ -19,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 
 from .figure import render_figure
-from .hashing import IDEAL, SHA256, Digest, HashSpec
+from .hashing import _ALGORITHMS, SHA256, Digest, HashSpec
 from .merkle import build_tree, generate_proof, proof_from_json, proof_to_json, verify_proof
 from .probability import (
     DEFAULT_BITS,
@@ -36,9 +40,7 @@ from .probability import (
     exact_falsification_prob,
 )
 from .report import ReportTable, format_sig, read_simulation_csv
-from .simulate import TRUNCATED, WIDE, Z_LIMIT, build_grid, run_grid
-
-SEED_ENV_VAR = "MERKLE_FALSIFY_SEED"
+from .simulate import _SIBLING_MODES, Z_LIMIT, ExperimentConfig, build_grid, run_grid
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
@@ -47,18 +49,6 @@ def _parse_int_list(text: str, name: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{name} must be a comma-separated list of integers: {text!r}")
-
-
-def _resolve_seed(arg_seed) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
 
 
 class OutputError(Exception):
@@ -111,7 +101,6 @@ def cmd_table(args) -> int:
 def cmd_simulate(args) -> int:
     bits_list = _parse_int_list(args.bits, "--bits")
     path_lens = _parse_int_list(args.path_lens, "--path-lens")
-    seed = _resolve_seed(args.seed)
     configs = build_grid(
         bits_list,
         path_lens,
@@ -119,7 +108,7 @@ def cmd_simulate(args) -> int:
         num_experiments=args.experiments,
         oracle_kind=args.oracle,
         sibling_mode=args.siblings,
-        master_seed=seed,
+        master_seed=args.seed,
     )
     start = time.perf_counter()
     cells = run_grid(configs, workers=args.workers)
@@ -137,7 +126,7 @@ def cmd_simulate(args) -> int:
         )
     status.write(
         f"{len(cells)} cell(s), {failed} beyond {Z_LIMIT:g} sigma, "
-        f"seed={seed}, {duration:.1f}s\n"
+        f"seed={args.seed}, {duration:.1f}s\n"
     )
     _write_output(args.output, table.to_csv())
     return 1 if failed else 0
@@ -197,14 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_table)
 
+    # --workers alone keeps a literal default: run_grid has no config to read.
     p = sub.add_parser("simulate", help="Monte Carlo grid, CSV output")
     p.add_argument("--bits", default="2,4,6,8,10")
     p.add_argument("--path-lens", default="10,100,1000")
-    p.add_argument("--trials", type=int, default=1000, help="trials per experiment")
-    p.add_argument("--experiments", type=int, default=100, help="experiments per cell")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--oracle", choices=(SHA256, IDEAL), default=SHA256)
-    p.add_argument("--siblings", choices=(WIDE, TRUNCATED), default=WIDE,
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials_per_experiment,
+                   help="trials per experiment")
+    p.add_argument("--experiments", type=int, default=ExperimentConfig.num_experiments,
+                   help="experiments per cell")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
+    p.add_argument("--oracle", choices=_ALGORITHMS, default=ExperimentConfig.oracle_kind)
+    p.add_argument("--siblings", choices=_SIBLING_MODES, default=ExperimentConfig.sibling_mode,
                    help="path element width: full hash width, or truncated to --bits")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes, capped at the CPUs this process may run on "
@@ -216,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     ms = p.add_subparsers(dest="action", required=True)
     b = ms.add_parser("build", help="print the root of a newline-delimited block file")
     b.add_argument("input")
-    b.add_argument("--bits", type=int, default=256)
+    b.add_argument("--bits", type=int, default=HashSpec.bits)
     v = ms.add_parser("prove", help="emit a proof JSON for one block")
     v.add_argument("input")
     v.add_argument("--index", type=int, required=True)
-    v.add_argument("--bits", type=int, default=256)
+    v.add_argument("--bits", type=int, default=HashSpec.bits)
     v.add_argument("--output", default=None)
     w = ms.add_parser("verify", help="check a block file against proof and root")
     w.add_argument("--block", required=True)

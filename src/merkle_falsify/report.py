@@ -175,14 +175,11 @@ def read_simulation_csv(text: str) -> list[CellResult]:
     header is row 0) or the cell.
     """
     rows = []
-    reader = csv.reader(io.StringIO(text))
-    while True:
-        try:
-            rows.append(next(reader))
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise ValueError(f"row {len(rows)} is not valid CSV: {exc}") from exc
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"row {len(rows)} is not valid CSV: {exc}") from exc
     if not rows:
         raise ValueError("empty CSV")
     header = tuple(rows[0])

@@ -81,12 +81,14 @@ _ALPHABET_BYTES = ALPHABET.encode("ascii")
 
 WIDE = "wide"
 TRUNCATED = "truncated"
+_SIBLING_MODES = (WIDE, TRUNCATED)
 
 # Length of every base and substitute datum, in alphabet characters.
 DATA_LENGTH = 16
 
 # Bytes one experiment's draws may take: four trials x DATA_LENGTH uint8
 # arrays, so 10**6 trials.  A larger total is spread over more experiments.
+# ExperimentConfig refuses a config above it.
 MAX_DRAW_BYTES = 64 * 10**6
 
 # Width of a wide path element; matches the full SHA-256 digest.
@@ -107,6 +109,9 @@ class ExperimentConfig:
     ``total_trials`` is their product.  ``oracle_kind`` is ``sha256`` or
     ``ideal``, ``sibling_mode`` is ``wide`` (32-byte path elements) or
     ``truncated`` (b-bit ones), and ``master_seed`` is in 0..2^64 - 1.
+    Last, one experiment's draws, ``4 * trials_per_experiment * DATA_LENGTH``
+    bytes, must fit in ``MAX_DRAW_BYTES``, so an over-cap grid is refused
+    when it is built, before any draw.
 
     The config holds settings only.  ``run_experiment`` derives the rest from
     ``(config, experiment_index)``: the draw seed, the oracle seed, the one
@@ -126,9 +131,16 @@ class ExperimentConfig:
         PathParams(self.bits, self.path_len)  # validates path_len
         _require_int("trials_per_experiment", self.trials_per_experiment, 1)
         _require_int("num_experiments", self.num_experiments, 1)
-        if self.sibling_mode not in (WIDE, TRUNCATED):
+        if self.sibling_mode not in _SIBLING_MODES:
             raise ValueError(f"sibling_mode must be {WIDE!r} or {TRUNCATED!r}")
         _require_int("master_seed", self.master_seed, 0, _MAX_SEED)
+        draw_bytes = 4 * self.trials_per_experiment * DATA_LENGTH
+        if draw_bytes > MAX_DRAW_BYTES:
+            raise ValueError(
+                f"trials_per_experiment {self.trials_per_experiment} needs "
+                f"{draw_bytes} bytes of draws, above {MAX_DRAW_BYTES}; spread the "
+                "trials over more experiments (--experiments)"
+            )
 
     @property
     def total_trials(self) -> int:
@@ -200,14 +212,11 @@ def _derive_seed(tag: str, master_seed: int, bits: int, path_len: int, index: in
 
 
 def run_experiment(config: ExperimentConfig, experiment_index: int) -> int:
-    """Match count for one seeded batch of trials_per_experiment trials."""
-    draw_bytes = 4 * config.trials_per_experiment * DATA_LENGTH
-    if draw_bytes > MAX_DRAW_BYTES:
-        raise ValueError(
-            f"trials_per_experiment {config.trials_per_experiment} needs "
-            f"{draw_bytes} bytes of draws, above {MAX_DRAW_BYTES}; spread the "
-            "trials over more experiments (--experiments)"
-        )
+    """Match count for one seeded batch of trials_per_experiment trials.
+
+    ``config`` checked its settings, the draw cap among them, when it was
+    built; only ``experiment_index`` is checked here.
+    """
     # The index is part of the seed text, so 1.0 or True would silently
     # draw a different stream than 1.
     _require_int("experiment_index", experiment_index, 0, config.num_experiments - 1)

@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-from merkle_falsify import cli, simulate
-from merkle_falsify.cli import SEED_ENV_VAR, build_parser, main
-from merkle_falsify.simulate import MAX_DRAW_BYTES
+from merkle_falsify import cli, hashing, simulate
+from merkle_falsify.cli import build_parser, main
+from merkle_falsify.hashing import HashSpec
+from merkle_falsify.simulate import MAX_DRAW_BYTES, ExperimentConfig
 
 from frozen_values import SHA_ABC_HEX
 
@@ -155,35 +156,52 @@ def test_simulate_determinism(tmp_path, capsys):
 
 
 def test_simulate_env_seed(tmp_path, capsys, monkeypatch):
-    flag = tmp_path / "flag.csv"
-    env = tmp_path / "env.csv"
+    # the seed comes from --seed alone: an environment variable that once
+    # set it changes nothing, and a run without --seed records seed 0
     args = ["simulate", "--bits", "3", "--path-lens", "2", "--trials", "150", "--experiments", "1"]
-    assert main(args + ["--seed", "77", "--output", str(flag)]) == 0
-    monkeypatch.setenv("MERKLE_FALSIFY_SEED", "77")
-    assert main(args + ["--output", str(env)]) == 0
-    capsys.readouterr()
-    assert flag.read_bytes() == env.read_bytes()
-    monkeypatch.setenv("MERKLE_FALSIFY_SEED", "abc")
-    assert main(args) == 2
+    plain = tmp_path / "plain.csv"
+    env = tmp_path / "env.csv"
+    assert main(args + ["--output", str(plain)]) == 0
+    for value in ("77", "abc"):
+        monkeypatch.setenv("MERKLE_FALSIFY_SEED", value)
+        assert main(args + ["--output", str(env)]) == 0
+        assert env.read_bytes() == plain.read_bytes()
+    assert env.read_text().splitlines()[1].rsplit(",", 1)[1] == "0"
     capsys.readouterr()
 
 
-def test_shared_parser_keeps_calls_apart(tmp_path, capsys, monkeypatch):
+def test_parser_defaults_are_the_librarys():
+    parser = build_parser()
+    args = parser.parse_args(["simulate"])
+    for name, dest in (
+        ("trials_per_experiment", "trials"),
+        ("num_experiments", "experiments"),
+        ("oracle_kind", "oracle"),
+        ("sibling_mode", "siblings"),
+        ("master_seed", "seed"),
+    ):
+        assert getattr(args, dest) == getattr(ExperimentConfig, name), name
+    for argv in (["merkle", "build", "in.txt"], ["merkle", "prove", "in.txt", "--index", "0"]):
+        assert parser.parse_args(argv).bits == HashSpec().bits
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    choices = {a.dest: a.choices for a in commands.choices["simulate"]._actions}
+    assert choices["oracle"] is hashing._ALGORITHMS
+    assert choices["siblings"] is simulate._SIBLING_MODES
+
+
+def test_shared_parser_keeps_calls_apart(tmp_path, capsys):
     # one parser serves every call in a process, so nothing a call parses may
     # reach the next: a usage error and another command between two equal
-    # runs leave their CSVs byte-identical, and the environment's seed is
-    # read on every call
+    # runs leave their CSVs byte-identical, and each call's --seed is its own
     assert build_parser() is build_parser()
     args = ["simulate", "--bits", "3,6", "--path-lens", "0,5", "--trials", "120", "--experiments", "2"]
     first, again, other = (tmp_path / f"{name}.csv" for name in ("first", "again", "other"))
-    monkeypatch.setenv(SEED_ENV_VAR, "9")
-    assert main(args + ["--output", str(first)]) == 0
+    assert main(args + ["--seed", "9", "--output", str(first)]) == 0
     assert main(["simulate", "--trials", "many"]) == 2
     assert main(["figure", str(first), "--output", str(tmp_path / "fig.svg")]) == 0
-    assert main(args + ["--output", str(again)]) == 0
+    assert main(args + ["--seed", "9", "--output", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
-    monkeypatch.setenv(SEED_ENV_VAR, "10")
-    assert main(args + ["--output", str(other)]) == 0
+    assert main(args + ["--seed", "10", "--output", str(other)]) == 0
     seeds = {line.rsplit(",", 1)[1] for line in other.read_text().splitlines()[1:]}
     assert seeds == {"10"}
     capsys.readouterr()

@@ -107,6 +107,10 @@ def test_config_validation():
         ExperimentConfig(bits=2, path_len=0, sibling_mode="narrow")
     with pytest.raises(ValueError):
         ExperimentConfig(bits=2, path_len=0, master_seed=1 << 64)
+    # one experiment's draws above MAX_DRAW_BYTES: refused when built
+    over_cap = simulate.MAX_DRAW_BYTES // (4 * simulate.DATA_LENGTH) + 1
+    with pytest.raises(ValueError, match=f"trials_per_experiment {over_cap} needs"):
+        ExperimentConfig(bits=2, path_len=0, trials_per_experiment=over_cap)
     # counts are integers by type: floats and bools are rejected up front
     # rather than failing later inside run_experiment or rng.integers
     for field in ("trials_per_experiment", "num_experiments", "master_seed"):
@@ -347,16 +351,18 @@ def test_ideal_experiment_memory_is_bounded():
 def test_draw_cap_counts_data_length(monkeypatch):
     # The cap is on draw bytes, not trials: 10^4 + 1 trials of 1600-byte
     # data need 4 * (10^4 + 1) * 1600 bytes, one trial over the budget, and
-    # are refused before anything is drawn.
+    # the config is refused when it is built, before anything is drawn;
+    # 10^4 trials fit.
     monkeypatch.setattr(simulate, "DATA_LENGTH", 1600)
-    cfg = ExperimentConfig(
-        bits=2, path_len=0, trials_per_experiment=10**4 + 1, num_experiments=1,
-    )
-    assert 4 * cfg.trials_per_experiment * simulate.DATA_LENGTH > simulate.MAX_DRAW_BYTES
+    assert 4 * (10**4 + 1) * simulate.DATA_LENGTH > simulate.MAX_DRAW_BYTES
+    assert 4 * 10**4 * simulate.DATA_LENGTH <= simulate.MAX_DRAW_BYTES
+    ExperimentConfig(bits=2, path_len=0, trials_per_experiment=10**4, num_experiments=1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="--experiments"):
-            run_experiment(cfg, 0)
+            ExperimentConfig(
+                bits=2, path_len=0, trials_per_experiment=10**4 + 1, num_experiments=1,
+            )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,6 +428,40 @@ def test_zscore_minus_inf_when_saturated_cell_falls_short(matches):
     assert (cell.exact_p, cell.std_error) == (1.0, 0.0)
     assert cell.z_score == float("-inf")
     assert not cell.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1, defect A: std_error takes 1 - P from P at 243 bits, "
+    "which is one ulp at (2, 586), so it reads 24 % high",
+)
+def test_std_error_keeps_its_digits_one_ulp_below_saturation():
+    cell = CellResult(2, 586, 10000, 0, 0)
+    with mpmath.workdps(400):
+        q = (mpmath.mpf(3) / 4) ** 587  # (1 - 2^-2)^(m + 1)
+        reference = mpmath.sqrt((1 - q) * q / 10000)
+        assert abs(reference / mpmath.mpf("2.1403303283891745e-39") - 1) < 1e-15
+        assert abs(cell.std_error / reference - 1) < 1e-12
+
+
+def test_zero_matches_at_14_50_lie_in_the_exact_tail():
+    # The exact two-sided tail of 0 matches in 8000 trials at P(14, 50),
+    # 2 (1 - P)^8000 (about 3e-11), is far below the 5-sigma level
+    # erfc(5 / sqrt(2)) (about 5.7e-7): such a cell should fail.
+    with mpmath.workdps(60):
+        q = (1 - mpmath.mpf(2) ** -14) ** 51
+        tail = 2 * q**8000
+        assert tail < mpmath.erfc(5 / mpmath.sqrt(2))
+        assert 3e-11 < tail < 3.1e-11
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the |z| <= 5 rule passes 0 matches at (14, 50, 8000) "
+    "with z = -4.994, although the exact tail of 0 is about 3e-11",
+)
+def test_zero_match_cell_at_14_50_fails():
+    assert not CellResult(14, 50, 8000, 0, 0).passed
 
 
 def _scores_in_context(bits, path_len, total, matches):
