@@ -8,9 +8,12 @@ Exit codes: 0 success, 1 operational failure (verification mismatch, cell
 beyond 5 sigma, unwritable output), 2 usage or malformed input.
 
 A run is given wholly by its command line: no environment variable is read,
-and the seed is ``--seed`` or its default.  ``simulate``'s defaults and legal
-values are ``ExperimentConfig``'s field defaults and the library's tuples,
-and ``merkle``'s ``--bits`` defaults to ``HashSpec``'s.
+and the seed is ``--seed`` or its default.  ``table``'s and ``simulate``'s
+``--bits`` default to the library's ``DEFAULT_BITS``, and ``table``'s
+``--path-lens`` to ``DEFAULT_PATH_LENS``; argparse parses both list options,
+so a malformed list is a usage error.  ``simulate``'s other defaults and
+legal values are ``ExperimentConfig``'s field defaults and the library's
+tuples, and ``merkle``'s ``--bits`` defaults to ``HashSpec``'s.
 
 The argument parser is built once per process, on the first ``main`` call
 (``build_parser`` is cached), not at import and not on every call.  Its
@@ -43,12 +46,14 @@ from .report import ReportTable, format_sig, read_simulation_csv
 from .simulate import _SIBLING_MODES, Z_LIMIT, ExperimentConfig, build_grid, run_grid
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
         # "", "2,,4" and "2,4," each hold an empty item, which fails int().
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"{name} must be a comma-separated list of integers: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of integers: {text!r}"
+        ) from None
 
 
 class OutputError(Exception):
@@ -90,20 +95,16 @@ def cmd_prob(args) -> int:
 
 
 def cmd_table(args) -> int:
-    bits_list = _parse_int_list(args.bits, "--bits")
-    path_lens = _parse_int_list(args.path_lens, "--path-lens")
-    table = ReportTable.from_estimates(diff_table(bits_list, path_lens))
+    table = ReportTable.from_estimates(diff_table(args.bits, args.path_lens))
     text = table.to_markdown() if args.format == "md" else table.to_csv()
     _write_output(args.output, text)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    bits_list = _parse_int_list(args.bits, "--bits")
-    path_lens = _parse_int_list(args.path_lens, "--path-lens")
     configs = build_grid(
-        bits_list,
-        path_lens,
+        args.bits,
+        args.path_lens,
         trials_per_experiment=args.trials,
         num_experiments=args.experiments,
         oracle_kind=args.oracle,
@@ -180,16 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("table", help="exact/approx difference table")
-    p.add_argument("--bits", default=",".join(map(str, DEFAULT_BITS)))
-    p.add_argument("--path-lens", default=",".join(map(str, DEFAULT_PATH_LENS)))
+    p.add_argument("--bits", type=_int_list, default=DEFAULT_BITS)
+    p.add_argument("--path-lens", type=_int_list, default=DEFAULT_PATH_LENS)
     p.add_argument("--format", choices=("csv", "md"), default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_table)
 
-    # --workers alone keeps a literal default: run_grid has no config to read.
+    # --path-lens and --workers keep literal defaults: the library states no
+    # simulation grid of path lengths, and run_grid has no config to read.
     p = sub.add_parser("simulate", help="Monte Carlo grid, CSV output")
-    p.add_argument("--bits", default="2,4,6,8,10")
-    p.add_argument("--path-lens", default="10,100,1000")
+    p.add_argument("--bits", type=_int_list, default=DEFAULT_BITS)
+    p.add_argument("--path-lens", type=_int_list, default=(10, 100, 1000))
     p.add_argument("--trials", type=int, default=ExperimentConfig.trials_per_experiment,
                    help="trials per experiment")
     p.add_argument("--experiments", type=int, default=ExperimentConfig.num_experiments,

@@ -44,7 +44,8 @@ def _curve_samples(lo: int, hi: int) -> list[int]:
 
 
 def render_figure(cells: list[CellResult]) -> str:
-    """SVG text for the given simulation cells."""
+    """SVG text for the given simulation cells, from any iterable, read once."""
+    cells = list(cells)
     if not cells:
         raise ValueError("no rows to plot")
     series: dict[int, list[CellResult]] = {}

@@ -513,21 +513,24 @@ def _cell_scores(exact: mpf, total: int, matches: int) -> tuple[float, float, fl
     return libmp.to_float(p, rnd=rnd), libmp.to_float(std_error, rnd=rnd), z_score
 
 
-def validate_grid(bits_list, path_lens) -> None:
-    """Reject a grid of cells with an empty axis or an axis that repeats a value."""
+def grid_cells(bits_list, path_lens) -> list[tuple[int, int]]:
+    """The (bits, path_len) cells of bits_list x path_lens, row-major.
+
+    Each axis may be any iterable; it is read once.  An empty axis, or an
+    axis that repeats a value, raises ValueError.
+    """
+    bits_list, path_lens = tuple(bits_list), tuple(path_lens)
     if not bits_list or not path_lens:
         raise ValueError("bits_list and path_lens must be non-empty")
     for name, values in (("bits", bits_list), ("path_len", path_lens)):
         value, count = Counter(values).most_common(1)[0]
         if count > 1:
             raise ValueError(f"{name} {value} appears more than once")
+    return [(b, m) for b in bits_list for m in path_lens]
 
 
 def diff_table(
     bits_list=DEFAULT_BITS, path_lens=DEFAULT_PATH_LENS
 ) -> list[FalsificationEstimate]:
     """approximation_error over bits_list x path_lens, row-major."""
-    validate_grid(bits_list, path_lens)
-    return [
-        approximation_error(PathParams(b, m)) for b in bits_list for m in path_lens
-    ]
+    return [approximation_error(PathParams(b, m)) for b, m in grid_cells(bits_list, path_lens)]

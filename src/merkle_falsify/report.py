@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+from .probability import grid_cells
 from .simulate import CellResult
 
 SIG_DIGITS = 17
@@ -215,11 +216,9 @@ def read_simulation_csv(text: str) -> list[CellResult]:
         found.append((n, cell))
     if not found:
         raise ValueError("CSV has no data rows")
-    grid = [
-        (b, m)
-        for b in sorted({c.bits for _, c in found})
-        for m in sorted({c.path_len for _, c in found})
-    ]
+    grid = grid_cells(
+        sorted({c.bits for _, c in found}), sorted({c.path_len for _, c in found})
+    )
     for row, want in zip_longest(found, grid):
         if row is None:
             raise ValueError(

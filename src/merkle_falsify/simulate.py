@@ -71,7 +71,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .hashing import _MAX_BITS, _MAX_SEED, IDEAL, SHA256, HashSpec, _require_int, node_fn
-from .probability import PathParams, _cell_scores, exact_falsification_prob, validate_grid
+from .probability import PathParams, _cell_scores, exact_falsification_prob, grid_cells
 
 if TYPE_CHECKING:
     import numpy as np
@@ -331,6 +331,8 @@ def _usable_cpus() -> int:
 def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResult]:
     """One CellResult per config, in order; independent of worker count.
 
+    ``configs`` may be any iterable; it is read once.
+
     Experiments fan out over a process pool of at most
     min(workers, number of experiments, usable CPUs) processes, as ranges of
     one cell's consecutive experiments, about four ranges per process.  The
@@ -338,6 +340,7 @@ def run_grid(configs: list[ExperimentConfig], workers: int = 1) -> list[CellResu
     parent's memory does not grow with the number of experiments.  Range
     counts come back in order, and each cell is summed as they arrive.
     """
+    configs = list(configs)
     if not configs:
         raise ValueError("run_grid needs at least one config")
     _require_int("workers", workers, 1)
@@ -384,9 +387,7 @@ def build_grid(
     **common,
 ) -> list[ExperimentConfig]:
     """Configs for bits_list x path_lens, row-major, sharing common settings."""
-    validate_grid(bits_list, path_lens)
     return [
         ExperimentConfig(bits=b, path_len=m, **common)
-        for b in bits_list
-        for m in path_lens
+        for b, m in grid_cells(bits_list, path_lens)
     ]

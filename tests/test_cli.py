@@ -6,6 +6,7 @@ import pytest
 from merkle_falsify import cli, hashing, simulate
 from merkle_falsify.cli import build_parser, main
 from merkle_falsify.hashing import HashSpec
+from merkle_falsify.probability import DEFAULT_BITS, DEFAULT_PATH_LENS
 from merkle_falsify.simulate import MAX_DRAW_BYTES, ExperimentConfig
 
 from frozen_values import SHA_ABC_HEX
@@ -85,7 +86,10 @@ def test_table_bad_lists(capsys):
     for text in ("2,,4", "2,4,", ",2"):
         assert main(["table", "--bits", text]) == 2
         err = capsys.readouterr().err
-        assert f"--bits must be a comma-separated list of integers: {text!r}" in err
+        assert f"argument --bits: must be a comma-separated list of integers: {text!r}" in err
+    assert main(["simulate", "--path-lens", "10,,100"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --path-lens: must be a comma-separated list of integers: '10,,100'" in err
 
 
 def test_simulate_repeated_grid_values(tmp_path, capsys):
@@ -181,6 +185,9 @@ def test_parser_defaults_are_the_librarys():
         ("master_seed", "seed"),
     ):
         assert getattr(args, dest) == getattr(ExperimentConfig, name), name
+    table = parser.parse_args(["table"])
+    assert (table.bits, table.path_lens) == (DEFAULT_BITS, DEFAULT_PATH_LENS)
+    assert (args.bits, args.path_lens) == (DEFAULT_BITS, (10, 100, 1000))
     for argv in (["merkle", "build", "in.txt"], ["merkle", "prove", "in.txt", "--index", "0"]):
         assert parser.parse_args(argv).bits == HashSpec().bits
     (commands,) = (a for a in parser._actions if a.dest == "command")

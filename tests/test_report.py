@@ -410,6 +410,32 @@ def test_render_rejects_empty():
         render_figure([])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda seq: diff_table(seq([2, 4]), seq([10, 0])), id="diff_table"),
+        pytest.param(
+            lambda seq: build_grid(seq([2, 4]), seq([10, 0]), trials_per_experiment=10),
+            id="build_grid",
+        ),
+        pytest.param(
+            lambda seq: run_grid(seq(build_grid([2, 4], [3], trials_per_experiment=20))),
+            id="run_grid",
+        ),
+        pytest.param(
+            lambda seq: render_figure(
+                seq([CellResult(2, 10, 100, 90, 0), CellResult(4, 0, 100, 7, 0)])
+            ),
+            id="render_figure",
+        ),
+    ],
+)
+def test_one_shot_iterables_read_once(call):
+    # an argument read more than once gets nothing the second time from an
+    # iterator; each function must give what it gives for the list
+    assert call(iter) == call(list)
+
+
 def test_render_pinned_svg():
     # 3 widths x 4 path lengths; the digest was taken before the curve moved
     # from 64-digit to double-precision samples, which must draw the same SVG
