@@ -6,6 +6,7 @@ newline-delimited block files), figure (SVG chart from a simulation CSV).
 
 Exit codes: 0 success, 1 operational failure (verification mismatch, cell
 beyond 5 sigma, unwritable output), 2 usage or malformed input.
+``simulate`` finds an unwritable ``--output`` before it runs the grid.
 
 A run is given wholly by its command line: no environment variable is read,
 and the seed is ``--seed`` or its default.  ``table``'s and ``simulate``'s
@@ -60,12 +61,12 @@ class OutputError(Exception):
     """Output path cannot be written (exit code 1, not a usage error)."""
 
 
-def _write_output(path, text: str) -> None:
+def _write_output(path, text: str, mode: str = "w") -> None:
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
@@ -111,6 +112,9 @@ def cmd_simulate(args) -> int:
         sibling_mode=args.siblings,
         master_seed=args.seed,
     )
+    # Appending nothing finds an unwritable --output before the grid runs,
+    # and leaves an existing file as it is until the CSV replaces it.
+    _write_output(args.output, "", "a")
     start = time.perf_counter()
     cells = run_grid(configs, workers=args.workers)
     duration = time.perf_counter() - start

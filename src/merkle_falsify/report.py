@@ -1,6 +1,10 @@
 """Tabular output: significant-digit formatting, CSV and markdown emission,
 and the simulation CSV's reader.
 
+The CSV text is one rule: fields joined by ``,``, every row ending in
+``\\n``, nothing quoted.  ``ReportTable.to_csv`` writes it and
+``read_simulation_csv`` reads back exactly that text and nothing else.
+
 ``format_sig`` prints what mpmath's ``nstr(mpf(x), 17, strip_zeros=True)``
 prints under ``workdps(27)``, but takes mpmath's digit steps on Python
 integers: one round-half-even to ``_SIG_BITS`` = 93 bits, then the fixed-point
@@ -13,9 +17,7 @@ path is the reference that ``tests/test_report.py`` compares against.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,37 +163,34 @@ def simulation_row(cell: CellResult) -> tuple[str, ...]:
 
 
 def read_simulation_csv(text: str) -> list[CellResult]:
-    """The cells of a simulation CSV, accepting only rows that ``simulate`` writes.
+    """The cells of a simulation CSV, accepting only the text ``simulate`` writes.
 
-    The integer columns are parsed and range-checked as ``CellResult``
-    checks them.  Every field must then equal, as text, what
-    ``simulation_row`` writes for that cell.  ``simulate`` writes each
-    (bits, path_len) cell once, with one seed and one total for the whole
-    grid, so a repeated cell, or a seed or total_trials other than the first
-    row's, is rejected too.  It writes the whole product of its bits and
-    path_len values, sorted by bits and then path_len, so the rows must be
-    exactly the sorted product of their distinct bits and path_len values; a
-    missing or misplaced cell is rejected.  Anything else, a row the csv
-    module cannot split included, raises ValueError naming the row (the
-    header is row 0) or the cell.
+    The text is split on ``\\n``, which must end it, and each line on ``,``:
+    the inverse of ``ReportTable.to_csv``, so a blank line, a ``\\r``, a
+    quoted field or a missing final newline is refused.  The integer columns
+    are parsed and range-checked as ``CellResult`` checks them.  Every field
+    must then equal, as text, what ``simulation_row`` writes for that cell.
+    ``simulate`` writes each (bits, path_len) cell once, with one seed and
+    one total for the whole grid, so a repeated cell, or a seed or
+    total_trials other than the first row's, is rejected too.  It writes the
+    whole product of its bits and path_len values, sorted by bits and then
+    path_len, so the rows must be exactly the sorted product of their
+    distinct bits and path_len values; a missing or misplaced cell is
+    rejected.  Anything else raises ValueError naming the row (the header is
+    row 0) or the cell; file text it quotes is cut to 80 characters.
     """
-    rows = []
-    try:
-        for row in csv.reader(io.StringIO(text)):
-            rows.append(row)
-    except csv.Error as exc:
-        raise ValueError(f"row {len(rows)} is not valid CSV: {exc}") from exc
-    if not rows:
+    if not text:
         raise ValueError("empty CSV")
+    if not text.endswith("\n"):
+        raise ValueError("CSV does not end with a newline")
+    rows = [line.split(",") for line in text[:-1].split("\n")]
     header = tuple(rows[0])
     if header != SIMULATION_HEADER:
         raise ValueError(
-            f"unexpected CSV header {header!r}; want {SIMULATION_HEADER!r}"
+            f"unexpected CSV header {header!r:.80}; want {SIMULATION_HEADER!r}"
         )
     found = []  # (row number, cell), in file order
     for n, raw in enumerate(rows[1:], 1):
-        if not raw:
-            continue
         if len(raw) != len(header):
             raise ValueError(f"row {n} has {len(raw)} fields, want {len(header)}")
         try:
@@ -211,7 +210,7 @@ def read_simulation_csv(text: str) -> list[CellResult]:
         for name, got, written in zip(header, raw, simulation_row(cell)):
             if got != written:
                 raise ValueError(
-                    f"row {n} has {name} {got!r}, but simulate writes {written!r} for this row"
+                    f"row {n} has {name} {got!r:.80}, but simulate writes {written!r} for this row"
                 )
         found.append((n, cell))
     if not found:
@@ -269,11 +268,13 @@ class ReportTable:
         return cls(SIMULATION_HEADER, tuple(map(simulation_row, ordered)))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        return out.getvalue()
+        """Fields joined by ``,``, every row ending in ``\\n``.
+
+        Nothing needs quoting: every field the package writes is an integer,
+        a ``format_sig`` string or a fixed header name, so none holds ``,``,
+        ``"`` or a newline.
+        """
+        return "".join(",".join(row) + "\n" for row in (self.header, *self.rows))
 
     def to_markdown(self) -> str:
         lines = [

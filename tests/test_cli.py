@@ -374,6 +374,11 @@ def test_figure_cli(tmp_path, capsys):
     assert text.startswith("<svg")
     assert text.count('class="curve"') == 2
     assert text.count('class="marker"') == 4
+    # figure reads its input in text mode, so the CSV saved with \r\n line
+    # ends, as a text-mode write on Windows saves it, draws the same SVG
+    sim.write_bytes(sim.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["figure", str(sim), "--output", str(svg)]) == 0
+    assert svg.read_text() == text
     capsys.readouterr()
 
 
@@ -407,12 +412,13 @@ def test_figure_malformed_csv(tmp_path, capsys):
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
-    # a field past the csv module's size limit: bad input, not a crash
+    # a 200 000-character field: bad input with a short message, not a crash
     bad.write_text(f"{header}\n2,1,100,44,{'4' * 200_000},0.4375,0.0496,0.05,0\n")
     assert main(["figure", str(bad), "--output", str(svg)]) == 2
     assert not svg.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: row 1 is not valid CSV: field larger than")
+    assert err.startswith("error: row 1 has empirical_p '4444")
+    assert len(err) < 300
     assert "Traceback" not in err
     # the row as the emitter writes it draws
     good = "2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0"
@@ -458,6 +464,25 @@ def test_unwritable_output(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "out.csv"
     assert main(["table", "--output", str(target)]) == 1
     capsys.readouterr()
+
+
+def test_simulate_unwritable_output_before_the_grid(tmp_path, monkeypatch, capsys):
+    # an unwritable --output is found before any experiment runs, and an
+    # existing output is left as it is until the CSV replaces it
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid called")
+
+    monkeypatch.setattr(cli, "run_grid", no_grid)
+    target = tmp_path / "no-such-dir" / "out.csv"
+    argv = ["simulate", "--bits", "2", "--path-lens", "1", "--trials", "10", "--experiments", "1"]
+    assert main([*argv, "--output", str(target)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    with pytest.raises(AssertionError, match="run_grid called"):
+        main([*argv, "--output", str(old)])
+    assert old.read_text() == "kept\n"
 
 
 def test_no_command_is_usage_error(capsys):

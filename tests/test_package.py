@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -88,6 +89,30 @@ def test_bench_oracle_count_sees_every_query(monkeypatch):
     assert calls["value64"] == calls["sha256"] > 0
 
 
+# Rules on the package's own text, which hold on paths the tests do not
+# reach as well.
+_SOURCE_GUARDS = {
+    # The package computes on libmp tuples only: mpmath's context precision
+    # is process-wide, so setting it races with other threads and with the
+    # caller.
+    "mpmath context arithmetic": r"mpmath\.(workdps|workprec|extraprec|extradps|mpf\(|sqrt|exp\(|log1p|mp\.(prec|dps))",
+    # A run is given wholly by its command line: the seed and every other
+    # setting come from argv or the library's defaults.
+    "environment variable read": r"os\.environ|getenv",
+}
+
+
+def test_source_guards():
+    hits = [
+        f"{path.name}:{n}: {rule}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "merkle_falsify").glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for rule, pattern in _SOURCE_GUARDS.items()
+        if re.search(pattern, line)
+    ]
+    assert hits == []
+
+
 # Runs in a fresh interpreter: this test module's own imports (numpy among
 # them, through the simulation call below) would hide a module that the
 # package loads too early.
@@ -156,6 +181,8 @@ run("table", "--bits", "2,8", "--path-lens", "0,10")
 run("table", "--bits", "2,8", "--path-lens", "0,10", "--format", "md", "--output", path("t.md"))
 run("figure", sim_csv, "--output", path("fig.svg"))
 assert heavy() == [], heavy()
+# The CSV is written and read by report's own join and split.
+assert "csv" not in sys.modules
 
 
 def pool_sees_numpy():

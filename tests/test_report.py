@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import math
+import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
@@ -327,13 +329,13 @@ def test_read_simulation_csv_messages():
     # cell's range check under the row's number
     header = ",".join(SIMULATION_HEADER)
     body = _writer_row(2, 0, 20, 8, 0)
-    big = "x" * (csv.field_size_limit() + 1)
     cases = [
         ("", "empty CSV"),
-        (header + "\n\n", "CSV has no data rows"),
-        (f"{big}\n{body}\n", "row 0 is not valid CSV: field larger than field limit (131072)"),
-        (f"{header}\n{body}\n{big}\n", "row 2 is not valid CSV: field larger than field limit (131072)"),
-        (f"{header}\n\n1,2\n", "row 2 has 2 fields, want 9"),
+        (header, "CSV does not end with a newline"),
+        (header + "\n", "CSV has no data rows"),
+        (header + "\n\n", "row 1 has 1 fields, want 9"),
+        (f"{header}\n\n1,2\n", "row 1 has 1 fields, want 9"),
+        (f"{header}\n{body}\n1,2\n", "row 2 has 2 fields, want 9"),
         (f"{header}\nx{body[1:]}\n", "row 1 is not numeric: invalid literal for int() with base 10: 'x'"),
         (f"{header}\n{body.replace('20', '0', 1)}\n", "row 1 total_trials must be an integer >= 1, got 0"),
         (f"{header}\n{body.replace('8', '21', 1)}\n", "row 1 matches must be an integer in 0..20, got 21"),
@@ -343,6 +345,76 @@ def test_read_simulation_csv_messages():
         with pytest.raises(ValueError) as info:
             read_simulation_csv(text)
         assert str(info.value) == message
+    # a 200 000-character field is refused, and the message quotes only the
+    # start of it
+    big = "4" * 200_000
+    fields = body.split(",")
+    fields[4] = big
+    for text, start in (
+        (f"{big}\n{body}\n", f"unexpected CSV header ('{'4' * 40}"),
+        (f"{header}\n{','.join(fields)}\n", f"row 1 has empirical_p '{'4' * 40}"),
+    ):
+        with pytest.raises(ValueError) as info:
+            read_simulation_csv(text)
+        assert str(info.value).startswith(start)
+        assert len(str(info.value)) < 300
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (lambda h, r1, r2: f"{h}\n{r1}\n\n{r2}\n", "row 2 has 1 fields, want 9"),
+        (lambda h, r1, r2: f"{h}\r\n{r1}\r\n{r2}\r\n", "unexpected CSV header"),
+        # int() takes "0\r", so the seed's text is what refuses these rows
+        (lambda h, r1, r2: f"{h}\n{r1}\r\n{r2}\r\n", "row 1 has seed '0\\r', but simulate writes '0'"),
+        (lambda h, r1, r2: f"{h}\n{_quoted(r1)}\n{_quoted(r2)}\n", "row 1 is not numeric"),
+        (lambda h, r1, r2: f"{_quoted(h)}\n{r1}\n{r2}\n", "unexpected CSV header"),
+        (lambda h, r1, r2: f"{h}\n{r1}\n{r2}", "CSV does not end with a newline"),
+    ],
+    ids=["blank-line", "crlf", "crlf-rows", "quoted-fields", "quoted-header", "no-final-newline"],
+)
+def test_read_simulation_csv_refuses_framings_simulate_never_writes(frame, message):
+    # the csv module reads each of these as the writer's two cells; the
+    # reader takes only the writer's own bytes
+    header = ",".join(SIMULATION_HEADER)
+    r1, r2 = _writer_row(2, 0, 20, 8, 0), _writer_row(2, 1, 20, 9, 0)
+    assert len(read_simulation_csv(f"{header}\n{r1}\n{r2}\n")) == 2
+    text = frame(header, r1, r2)
+    assert [row for row in csv.reader(io.StringIO(text)) if row] == [
+        line.split(",") for line in (header, r1, r2)
+    ]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_simulation_csv(text)
+
+
+def _quoted(line):
+    return ",".join(f'"{field}"' for field in line.split(","))
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.integers().map(str),
+                st.fractions().map(format_sig),
+                st.floats(allow_nan=True, allow_infinity=True).map(format_sig),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        max_size=5,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_to_csv_is_the_csv_modules_text(rows):
+    # to_csv writes what csv.writer writes for the package's fields: none of
+    # them needs quoting
+    table = ReportTable(SIMULATION_HEADER, tuple(map(tuple, rows)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(table.rows)
+    assert table.to_csv() == out.getvalue()
 
 
 @given(
