@@ -71,7 +71,7 @@ def _require_int(name: str, value, lo: int, hi: int | None = None) -> None:
     """
     if type(value) is not int or value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r:.80}")
 
 
 # The pad rule: the last byte of a b-bit value keeps b % 8 high bits, and its
@@ -85,7 +85,7 @@ def _width_error(name: str, bits: int, data) -> ValueError:
     bytes (``bytes`` itself, no subclass) with its pad bits zero."""
     return ValueError(
         f"{name} must be {(bits + 7) // 8} bytes with the pad bits below "
-        f"{bits} bits zero, got {data!r}"
+        f"{bits} bits zero, got {data!r:.80}"
     )
 
 
@@ -162,7 +162,7 @@ def _hex_bytes(text: str, bits: int) -> bytes:
         raw = b""
     if len(text) != 2 * nb or len(raw) != nb:
         raise ValueError(
-            f"invalid hex digest {text!r}: {bits} bits take exactly {2 * nb} hex digits"
+            f"invalid hex digest {text!r:.80}: {bits} bits take exactly {2 * nb} hex digits"
         )
     return raw
 

@@ -269,7 +269,7 @@ def proof_from_json(text: str) -> MerkleProof:
         if side == LEFT:
             spelled |= 1 << k
         elif side != RIGHT:
-            raise ValueError(f"step {k} side must be 'left' or 'right', got {side!r}")
+            raise ValueError(f"step {k} side must be 'left' or 'right', got {side!r:.80}")
     leaf_index = obj.get("leaf_index")
     _require_int("proof leaf_index", leaf_index, 0)
     if spelled != leaf_index:

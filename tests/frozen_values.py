@@ -1,44 +1,16 @@
 """Pinned reference values shared across test modules.
 
-Everything here was computed once with tools independent of the package
-(standalone hashlib folds, exact rational arithmetic, 40+ digit decimal
-evaluation) and then frozen.  Tests compare live results against these
-constants instead of re-deriving them with the code under test.
+Everything here but the last three was computed once with tools independent
+of the package (standalone hashlib folds, exact rational arithmetic, 40+
+digit decimal evaluation) and then frozen.  Tests compare live results
+against these constants instead of re-deriving them with the code under
+test.  The last three are the package's own outputs at commit ``ee8cba2``:
+SHA-256s of bytes that must not change unless a change means them to.  The
+benchmark's pins live in ``bench/reference.py``, not here.
 """
 
 # SHA-256 of b"abc" -- the standard reference vector.
 SHA_ABC_HEX = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-
-# Reference |approx - exact| values for the default difference-table grid,
-# at the ~15 significant digits they were recorded with.  Matching is
-# asserted at 1e-10 relative error.
-REFERENCE_DIFFS = {
-    (2, 10): "0.00710805789680180",
-    (2, 50): "0.0287983054922386",
-    (2, 100): "0.0288007830608296",
-    (2, 500): "0.0288007830714048",
-    (2, 1000): "0.0288007830714048",
-    (4, 10): "0.00923681979928365",
-    (4, 50): "0.00216253840990199",
-    (4, 100): "0.00157561166419240",
-    (4, 500): "0.00191306281345960",
-    (4, 1000): "0.00191306281347581",
-    (6, 10): "0.00102043490152098",
-    (6, 50): "0.00270533021104558",
-    (6, 100): "0.00243368381652498",
-    (6, 500): "0.0000975622497489947",
-    (6, 1000): "0.000121418280353613",
-    (8, 10): "0.0000729807479756192",
-    (8, 50): "0.000311967273480596",
-    (8, 100): "0.000512896153700371",
-    (8, 500): "0.000532762483821725",
-    (8, 1000): "0.000145220188735085",
-    (10, 10): "0.00000471585051471136",
-    (10, 50): "0.0000226752874874780",
-    (10, 100): "0.0000431877859932567",
-    (10, 500): "0.000146063524593065",
-    (10, 1000): "0.000179180050212557",
-}
 
 # 4-leaf tree over blocks b"block-0".."block-3" at 256 bits, standalone fold.
 FOUR_LEAF_BLOCKS = [b"block-0", b"block-1", b"block-2", b"block-3"]
@@ -73,3 +45,11 @@ CELL_SEED_0_2_10_0 = 6894408645117381920
 # exact probability at (10, 10) as a 40-digit decimal of the exact rational
 # 13876268984046959010445509252097 / 1298074214633706907132624082305024.
 EXACT_10_10_DECIMAL = "0.01068988878109915420705169904075621927310"
+
+# SHA-256 of `merkle-falsify table` on the default grid, as CSV and with
+# `--format md`.
+TABLE_CSV_SHA256 = "ebea5e87b0b07a92ac92b2653048827a39a46e905340d75ba80a85ab8e51243f"
+TABLE_MD_SHA256 = "75e0acfcb2b2b91c9631f2c949ca69f5264bf581fe83cfa3c8530d5f5312adf1"
+# SHA-256 of the `figure` SVG of the seed-0 sim-saturating CSV: `simulate
+# --bits 2,6 --path-lens 200,1000 --trials 50 --experiments 2 --seed 0`.
+FIGURE_SVG_SHA256 = "437cb6c5cb927ce4ec1aba52ebf1f65a0e8723a02dc55830aebadcd8a482b722"

@@ -27,7 +27,7 @@ from merkle_falsify import simulate
 from merkle_falsify.simulate import CellResult, ExperimentConfig, _usable_cpus, build_grid, run_grid
 import test_merkle as merkle_suite
 
-from frozen_values import REFERENCE_DIFFS
+from reference import PUBLISHED_DIFFS
 
 
 def _by_cell(cells) -> dict:
@@ -50,7 +50,7 @@ def test_criterion_1_difference_table_reproduction():
     worst = 0.0
     with mpmath.workdps(40):
         for row in rows:
-            reference = mpf(REFERENCE_DIFFS[(row.params.bits, row.params.path_len)])
+            reference = mpf(PUBLISHED_DIFFS[(row.params.bits, row.params.path_len)])
             worst = max(worst, float(abs(row.abs_diff / reference - 1)))
     _gate(
         1,

@@ -362,6 +362,35 @@ def test_merkle_verify_root_hex_is_exact(tmp_path, capsys):
         assert f"invalid hex digest {loose!r}: 16 bits take exactly 4 hex digits" in captured.err
 
 
+def test_merkle_verify_long_values_give_short_errors(tmp_path, capsys):
+    # a root, sibling or side far too long for its field is bad input (exit
+    # 2), and the message quotes at most 80 characters of it
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_bytes(b"a\nb\n")
+    assert main(["merkle", "build", str(blocks), "--bits", "16"]) == 0
+    root = capsys.readouterr().out.strip()
+    proof = tmp_path / "proof.json"
+    assert main(["merkle", "prove", str(blocks), "--index", "1", "--bits", "16", "--output", str(proof)]) == 0
+    good = proof.read_text()
+    block = tmp_path / "d.txt"
+    block.write_bytes(b"b")
+    for step, root_text, start in (
+        ({}, "a" * 100_000, "invalid hex digest 'aaaa"),
+        ({"sibling": "a" * 100_000}, root, "invalid hex digest 'aaaa"),
+        ({"side": "x" * 100_000}, root, "step 0 side must be 'left' or 'right', got 'xxxx"),
+    ):
+        obj = json.loads(good)
+        obj["steps"][0].update(step)
+        proof.write_text(json.dumps(obj))
+        verify = ["merkle", "verify", "--block", str(block), "--proof", str(proof)]
+        assert main(verify + ["--root", root_text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {start}")
+        assert len(captured.err) < 300
+        assert "Traceback" not in captured.err
+
+
 def test_figure_cli(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     assert main([
@@ -412,14 +441,19 @@ def test_figure_malformed_csv(tmp_path, capsys):
         assert main(["figure", str(bad), "--output", str(svg)]) == 2
         assert not svg.exists()
         assert "row 1 " in capsys.readouterr().err
-    # a 200 000-character field: bad input with a short message, not a crash
-    bad.write_text(f"{header}\n2,1,100,44,{'4' * 200_000},0.4375,0.0496,0.05,0\n")
-    assert main(["figure", str(bad), "--output", str(svg)]) == 2
-    assert not svg.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error: row 1 has empirical_p '4444")
-    assert len(err) < 300
-    assert "Traceback" not in err
+    # a 200 000-character field and a 4000-digit integer: bad input with a
+    # short message, not a crash
+    for row, start in (
+        (f"2,1,100,44,{'4' * 200_000},0.4375,0.0496,0.05,0", "row 1 has empirical_p '4444"),
+        (f"{'9' * 4000},1,100,44,0.44,0.4375,0.0496,0.05,0", "row 1 bits must be an integer in 1..256, got 9999"),
+    ):
+        bad.write_text(f"{header}\n{row}\n")
+        assert main(["figure", str(bad), "--output", str(svg)]) == 2
+        assert not svg.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}")
+        assert len(err) < 300
+        assert "Traceback" not in err
     # the row as the emitter writes it draws
     good = "2,1,100,44,0.44,0.4375,0.049607837082461075,0.050395263067896962,0"
     bad.write_text(f"{header}\n{good}\n")

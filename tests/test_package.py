@@ -37,10 +37,9 @@ def test_package_all_resolves():
     assert set(names) <= namespace.keys()
 
 
-def test_bench_span_targets_resolve(monkeypatch):
+def test_bench_span_targets_resolve():
     # A traced benchmark run wraps each (owner, attribute) a workload names;
     # a name the package no longer binds fails there with KeyError.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
     for workload in workloads.WORKLOADS.values():

@@ -2,7 +2,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,19 +23,13 @@ from merkle_falsify.probability import (
 )
 from merkle_falsify.simulate import CellResult
 
-from frozen_values import EXACT_10_10_DECIMAL, REFERENCE_DIFFS
-
-ROOT = Path(__file__).resolve().parent.parent
+from frozen_values import EXACT_10_10_DECIMAL
+from reference import PUBLISHED_DIFFS, closed_form_rational
 
 # Cells whose expm1 lies within about 2^-33 of an ulp of a 243-bit rounding
 # boundary: 35 guard bits do not decide these, the approx at the first two
 # and the exact at the rest.
 NEAR_BOUNDARY_CELLS = ((118, 81), (78, 79), (238, 73), (198, 89011869679925))
-
-
-def closed_form_rational(b: int, m: int) -> Fraction:
-    # independent closed form for cross-checks
-    return 1 - (1 - Fraction(1, 1 << b)) ** (m + 1)
 
 
 def closed_forms_500(b: int, m: int) -> tuple[mpf, mpf]:
@@ -294,7 +287,7 @@ def test_diff_table_default_shape():
 def test_diff_table_spot_values():
     for cell in ((2, 10), (4, 50), (10, 10)):
         row = diff_table([cell[0]], [cell[1]])[0]
-        reference = mpf(REFERENCE_DIFFS[cell])
+        reference = mpf(PUBLISHED_DIFFS[cell])
         assert abs(float(row.abs_diff) / float(reference) - 1) <= 1e-10
 
 
@@ -458,7 +451,6 @@ def test_expm1_retries_only_where_a_boundary_is_in_reach(monkeypatch):
     # The analytic-table benchmark's grid, bits 1..32 by 16 path lengths
     # from 0 to 10^6: once the power tables are built, every exp comes from
     # them, and no cell retries.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from workloads import AnalyticTable
 
     bits, path_lens = AnalyticTable.BITS, AnalyticTable.PATH_LENS
